@@ -2,7 +2,8 @@
 channel simulation, exact-vs-MC-vs-theory comparison, and entropy sweeps.
 
 Output is CSV (default, schema tagged `# wgchan-schema v1`, rows streamed as
-they are produced) or JSON (one document with config, rows, schema_version).
+they are produced, written by ``csv.writer``) or strict JSON (one document
+with config, rows, schema_version; NaN and infinities become null).
 Floats are printed with 17 significant digits so they round-trip exactly.
 Exit codes: 0 success, 1 reference-table mismatch, 2 invalid input, 3
 strict-mode statistical failure.
@@ -16,9 +17,11 @@ trials extends a sweep without reshuffling earlier trials.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import freeprob, moments, montecarlo
@@ -48,6 +51,8 @@ def _fmt(value) -> str:
 def _json_value(value):
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # strict JSON has no NaN or Infinity
     return value
 
 
@@ -59,13 +64,14 @@ class Writer:
         self.config = config
         self.rows: list[dict] = []
         if fmt == "csv":
+            self.csv = csv.writer(out, lineterminator="\n")
             self.out.write(f"# {SCHEMA_VERSION}\n")
-            self.out.write(",".join(columns) + "\n")
+            self.csv.writerow(columns)
             self.out.flush()
 
     def row(self, values: dict) -> None:
         if self.fmt == "csv":
-            self.out.write(",".join(_fmt(values.get(col)) for col in self.columns) + "\n")
+            self.csv.writerow([_fmt(values.get(col)) for col in self.columns])
             self.out.flush()
         else:
             self.rows.append({col: _json_value(values.get(col)) for col in self.columns})
@@ -82,9 +88,23 @@ class Writer:
             self.out.flush()
 
 
-def _open_writer(args, columns: list[str], config: dict):
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    return Writer(columns, args.format, out, config), out is not sys.stdout
+@contextmanager
+def _writer(args, columns: list[str], config: dict):
+    """A Writer on --out (default stdout), finished and closed on exit."""
+    if args.out is None:
+        out = sys.stdout
+    else:
+        try:
+            out = open(args.out, "w")
+        except OSError as exc:
+            raise CliError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
+    writer = Writer(columns, args.format, out, config)
+    try:
+        yield writer
+    finally:
+        writer.close()
+        if out is not sys.stdout:
+            out.close()
 
 
 def _parse_d(text: str) -> Fraction:
@@ -121,15 +141,10 @@ def cmd_wg(args) -> int:
         raise CliError(f"n < p ({args.n} < {args.p}): Weingarten table undefined")
     table = wg_exact(args.n, args.p)
     config = {"command": "wg", "n": args.n, "p": args.p}
-    writer, close_file = _open_writer(args, ["cycle_type", "wg", "wg_float"], config)
-    try:
+    with _writer(args, ["cycle_type", "wg", "wg_float"], config) as writer:
         for ct in sorted(table.values, key=lambda c: (-c.num_cycles, c.parts)):
             val = table.values[ct]
             writer.row({"cycle_type": str(ct), "wg": val, "wg_float": float(val)})
-    finally:
-        writer.close()
-        if close_file:
-            writer.out.close()
     return 0
 
 
@@ -143,21 +158,17 @@ def cmd_exact_moments(args) -> int:
         "p_max": args.p_max,
         "pinched": args.pinched,
     }
-    writer, close_file = _open_writer(args, ["p", "exact", "exact_float"], config)
     try:
+        moments.validate_exact_args(args.p_max, args.n, args.k, args.n if args.pinched else m)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    with _writer(args, ["p", "exact", "exact_float"], config) as writer:
         for p in range(1, args.p_max + 1):
-            try:
-                if args.pinched:
-                    value = moments.exact_moment_pinched(p, args.n, args.k)
-                else:
-                    value = moments.exact_moment_conjugate(p, args.n, args.k, m)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
+            if args.pinched:
+                value = moments.exact_moment_pinched(p, args.n, args.k)
+            else:
+                value = moments.exact_moment_conjugate(p, args.n, args.k, m)
             writer.row({"p": p, "exact": value, "exact_float": float(value)})
-    finally:
-        writer.close()
-        if close_file:
-            writer.out.close()
     return 0
 
 
@@ -187,9 +198,8 @@ def cmd_minimize(args) -> int:
     d_values = [_parse_d(text) for text in args.d]
     config = {"command": "minimize", "p": args.p, "d": [str(d) for d in d_values]}
     columns = ["problem", "d", "minimum", "n_minimizers", "minimizers"]
-    writer, close_file = _open_writer(args, columns, config)
     mismatches = []
-    try:
+    with _writer(args, columns, config) as writer:
         for d in d_values:
             reports = [moments.minimize_S2(args.p, d), moments.minimize_S1(args.p, d)]
             if 0 < d < 1 or 1 < d < 2:
@@ -214,10 +224,6 @@ def cmd_minimize(args) -> int:
                     mismatches.append(f"S2 mismatch at p={args.p}, d={d}")
                 if got_s1 != expected_s1:
                     mismatches.append(f"S1 mismatch at p={args.p}, d={d}")
-    finally:
-        writer.close()
-        if close_file:
-            writer.out.close()
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)
@@ -249,8 +255,7 @@ def cmd_simulate(args) -> int:
         "bulk_m4",
     ]
     stat_cols = columns[2:]
-    writer, close_file = _open_writer(args, columns, config)
-    try:
+    with _writer(args, columns, config) as writer:
         collected: dict[str, list[float]] = {}
         for t, stats in montecarlo.iter_trial_statistics(
             spec,
@@ -281,10 +286,6 @@ def cmd_simulate(args) -> int:
                 se_row[col] = math.sqrt(var / len(vals))
         writer.row(mean_row)
         writer.row(se_row)
-    finally:
-        writer.close()
-        if close_file:
-            writer.out.close()
     return 0
 
 
@@ -310,9 +311,10 @@ def cmd_compare(args) -> int:
     }
     if args.pinched and spec.flavor != "conjugate":
         raise CliError("pinched comparison is defined for the conjugate flavor")
-    writer, close_file = _open_writer(args, COMPARE_COLUMNS, config)
-    worst = 0.0
-    try:
+    if args.strict and args.trials < 2:
+        raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
+    gates = []
+    with _writer(args, COMPARE_COLUMNS, config) as writer:
         ensemble = montecarlo.moment_ensemble(
             spec, args.p_max, args.trials, args.seed, pinched=args.pinched
         )
@@ -346,12 +348,11 @@ def cmd_compare(args) -> int:
             )
             gate = z_exact if z_exact is not None else z_theory
             if gate is not None:
-                worst = max(worst, abs(gate))
-    finally:
-        writer.close()
-        if close_file:
-            writer.out.close()
-    if args.strict and worst > args.z_threshold:
+                gates.append(abs(gate))
+    # a NaN gate compares False with everything, so it fails here
+    failed = [g for g in gates if not g <= args.z_threshold]
+    if args.strict and failed:
+        worst = math.nan if any(math.isnan(g) for g in failed) else max(failed)
         print(f"strict mode: worst |z| = {worst:.3g} > {args.z_threshold}", file=sys.stderr)
         return 3
     return 0
@@ -402,23 +403,22 @@ def cmd_entropy(args) -> int:
         "defect_stderr",
         "predicted_defect",
     ]
-    writer, close_file = _open_writer(args, columns, config)
-    try:
-        regime = RegimeParams(c=c, d=d, t=t)
-        for n in n_list:
-            spec = _spec_for_regime(n, c, d, t, "conjugate")
+    regime = RegimeParams(c=c, d=d, t=t)
+    specs = [_spec_for_regime(n, c, d, t, "conjugate") for n in n_list]
+    predictions = [freeprob.entropy_prediction(regime, spec.n, spec.k) for spec in specs]
+    with _writer(args, columns, config) as writer:
+        for spec, prediction in zip(specs, predictions):
             report = montecarlo.run_ensemble(
                 spec, args.trials, args.seed, full_spectrum=True, threads=args.threads
             )
             if "entropy" not in report.per_trial:
                 raise CliError("entropy requires the full-spectrum path")
-            prediction = freeprob.entropy_prediction(regime, n, spec.k)
             h_mean = report.mean("entropy")
             h_se = report.stderr("entropy")
-            cap = 2 * math.log(min(spec.k, n))
+            cap = 2 * math.log(min(spec.k, spec.n))
             writer.row(
                 {
-                    "n": n,
+                    "n": spec.n,
                     "k": spec.k,
                     "m": spec.m,
                     "h_mean": h_mean,
@@ -430,10 +430,6 @@ def cmd_entropy(args) -> int:
                     "predicted_defect": prediction.defect if prediction.defect_known else None,
                 }
             )
-    finally:
-        writer.close()
-        if close_file:
-            writer.out.close()
     return 0
 
 

@@ -157,20 +157,6 @@ class _Group:
     index_of_rank: np.ndarray  # (m**m,) int32
 
 
-def _count_cycles_images(images) -> int:
-    seen = [False] * len(images)
-    count = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-    return count
-
-
 @lru_cache(maxsize=4)
 def _group(m: int) -> _Group:
     if m > DEFAULT_ENUMERATION_CAP:
@@ -267,7 +253,10 @@ def _census_sum(census: np.ndarray, types: list[CycleType], weights, wg: WgTable
     return total
 
 
-def _validate_exact_args(p: int, n: int, k: int, m: int, max_order: int, allow_heavy: bool):
+def validate_exact_args(
+    p: int, n: int, k: int, m: int, max_order: int = DEFAULT_EXACT_ORDER, allow_heavy: bool = False
+):
+    """Raise ValueError unless the exact sums accept every order up to p at (n, k, m)."""
     if p < 1:
         raise ValueError("p must be >= 1")
     cap = max_order if not allow_heavy else DEFAULT_ENUMERATION_CAP // 2
@@ -308,7 +297,7 @@ def exact_moment_conjugate(
     evaluated in rational arithmetic.
     """
     m = n if m is None else m
-    _validate_exact_args(p, n, k, m, max_order, allow_heavy)
+    validate_exact_args(p, n, k, m, max_order, allow_heavy)
     table = _wg_for(n, k, p, wg)
     gamma, _, _ = make_gamma_delta(p)
     census = _pair_census(p, gamma.images)
@@ -328,7 +317,7 @@ def exact_moment_pinched(
     """Exact E[tr((QZQ)^p)] at m = n, summed over all 2^p choice functions:
     each term carries sign (-1)^{#Bell picks}, Bell normalization n^{-#Bell},
     and the permutation sum with gamma replaced by f_hat."""
-    _validate_exact_args(p, n, k, n, max_order, allow_heavy)
+    validate_exact_args(p, n, k, n, max_order, allow_heavy)
     table = _wg_for(n, k, p, wg)
     types = _group(2 * p).types
     total = Fraction(0)

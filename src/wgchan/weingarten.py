@@ -1,13 +1,16 @@
 """Weingarten calculus on the unitary group.
 
 ``wg_exact`` inverts the class-algebra Gram matrix of ``sigma -> n^{#sigma}``
-in exact rational arithmetic, so the convolution identity
+exactly, so the convolution identity
 
     sum_tau n^{#(sigma tau^{-1})} Wg(tau) = [sigma == id]
 
-holds with zero tolerance.  ``haar_moment`` evaluates the full Haar-moment
-integration formula from such a table, with a seeded Monte Carlo oracle
-(``haar_moment_mc``) to check it against.
+holds with zero tolerance.  The Gram matrix is a polynomial in n whose integer
+coefficients depend only on p; ``gram_census`` counts them once per order, and
+each table evaluates that polynomial at n in integers and solves by
+fraction-free (Bareiss) elimination.  ``haar_moment`` evaluates the full
+Haar-moment integration formula from such a table, with a seeded Monte Carlo
+oracle (``haar_moment_mc``) to check it against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -53,38 +57,6 @@ def class_representative(parts: tuple[int, ...]) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _cycle_count(images: tuple[int, ...]) -> int:
-    seen = [False] * len(images)
-    count = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-    return count
-
-
-def solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve A x = b by Gaussian elimination over the rationals."""
-    size = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[r][size] for r in range(size)]
-
-
 @dataclass(frozen=True)
 class WgTable:
     """Exact Weingarten values for fixed (n, p), indexed by cycle type.
@@ -110,14 +82,61 @@ class WgTable:
         return self.values[CycleType(tuple(key))]
 
 
+@lru_cache(maxsize=None)
+def gram_census(p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Integer census ``C[lam][mu][c] = #{tau in class mu : #(sigma_lam tau^{-1}) = c}``
+    over the classes of S_p in ``partitions(p)`` order, with sigma_lam the
+    ``class_representative``.  The Gram matrix at dimension n is
+    ``G[lam][mu] = sum_c C[lam][mu][c] n^c`` for every n."""
+    parts_list = partitions(p)
+    class_index = {parts: idx for idx, parts in enumerate(parts_list)}
+    reps = [class_representative(parts).images for parts in parts_list]
+    counts = [[[0] * (p + 1) for _ in parts_list] for _ in parts_list]
+    # tau and tau^{-1} share a class, so summing #(sigma_lam tau) over tau in
+    # class mu counts the same multiset as #(sigma_lam tau^{-1})
+    for tau in itertools.permutations(range(p)):
+        mu = class_index[_type_of_images(tau)]
+        for lam, rep in enumerate(reps):
+            counts[lam][mu][len(_type_of_images(tuple(rep[y] for y in tau)))] += 1
+    return tuple(tuple(tuple(cell) for cell in row) for row in counts)
+
+
+def _solve_integer(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Solve A x = b for integer A, b: fraction-free (Bareiss) elimination to
+    upper-triangular form, every division exact, then rational back-substitution."""
+    size = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    prev = 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        a[col], a[pivot] = a[pivot], a[col]
+        head = a[col]
+        for r in range(col + 1, size):
+            row = a[r]
+            lead = row[col]
+            row[col] = 0
+            for j in range(col + 1, size + 1):
+                row[j] = (row[j] * head[col] - lead * head[j]) // prev
+        prev = head[col]
+    x: list[Fraction] = [Fraction(0)] * size
+    for r in range(size - 1, -1, -1):
+        rest = a[r][size] - sum(a[r][j] * x[j] for j in range(r + 1, size))
+        x[r] = Fraction(rest, a[r][r])
+    return x
+
+
 def wg_exact(n: int, p: int, max_order: int = DEFAULT_WG_ORDER_CAP) -> WgTable:
     """Exact rational Weingarten table for S_p at dimension n.
 
-    Builds the class-algebra Gram matrix G[lam, mu] =
+    Solves G(n) x = e_id, where G[lam, mu] =
     sum_{tau in class mu} n^{#(sigma_lam tau^{-1})} over one representative
-    sigma_lam per class, and inverts it exactly.  Wg is a class function, so
-    the class reduction loses nothing; tests validate the convolution identity
-    on the full group.
+    sigma_lam per class.  G(n) is evaluated in integers from the cached,
+    n-independent ``gram_census(p)`` and solved by fraction-free elimination,
+    so after the first call at an order, a table at any n costs no walk over
+    S_p.  Wg is a class function, so the class reduction loses nothing; tests
+    validate the convolution identity on the full group.
     """
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
@@ -127,22 +146,10 @@ def wg_exact(n: int, p: int, max_order: int = DEFAULT_WG_ORDER_CAP) -> WgTable:
         raise ValueError(f"n < p ({n} < {p}): the Gram matrix is singular, table rejected")
 
     parts_list = partitions(p)
-    class_index = {parts: idx for idx, parts in enumerate(parts_list)}
-    reps = [class_representative(parts) for parts in parts_list]
-
-    n_classes = len(parts_list)
-    gram = [[Fraction(0)] * n_classes for _ in range(n_classes)]
-    for tau in itertools.permutations(range(p)):
-        tau_inv = [0] * p
-        for x, y in enumerate(tau):
-            tau_inv[y] = x
-        mu = class_index[_type_of_images(tuple(tau))]
-        for lam, rep in enumerate(reps):
-            composed = tuple(rep.images[y] for y in tau_inv)
-            gram[lam][mu] += Fraction(n) ** _cycle_count(composed)
-
-    rhs = [Fraction(1) if parts == (1,) * p else Fraction(0) for parts in parts_list]
-    solution = solve_rational(gram, rhs)
+    powers = [n**c for c in range(p + 1)]
+    gram = [[sum(cnt * pw for cnt, pw in zip(cell, powers)) for cell in row] for row in gram_census(p)]
+    rhs = [1 if parts == (1,) * p else 0 for parts in parts_list]
+    solution = _solve_integer(gram, rhs)
     values = {CycleType(parts): solution[idx] for idx, parts in enumerate(parts_list)}
     return WgTable(n=n, p=p, values=values)
 

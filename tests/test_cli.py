@@ -1,8 +1,10 @@
+import csv
 import json
 from fractions import Fraction
 
 import pytest
 
+from wgchan import cli
 from wgchan.cli import main
 
 
@@ -15,8 +17,18 @@ def run_cli(capsys, argv):
 def csv_rows(text):
     lines = [ln for ln in text.strip().splitlines() if ln]
     assert lines[0].startswith("# wgchan-schema v1")
-    header = lines[1].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[2:]]
+    header, *rows = csv.reader(lines[1:])
+    assert all(len(row) == len(header) for row in rows)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse a --format json document, refusing NaN and Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +43,40 @@ def test_wg_values(capsys):
     assert rows["2"]["wg"] == "-1/60"
 
 
+def test_wg_csv_bytes(capsys):
+    code, out, _ = run_cli(capsys, ["wg", "--n", "4", "--p", "2"])
+    assert code == 0
+    assert out == (
+        "# wgchan-schema v1\n"
+        "cycle_type,wg,wg_float\n"
+        "1+1,1/15,0.066666666666666666\n"
+        "2,-1/60,-0.016666666666666666\n"
+    )
+
+
+def test_unwritable_out_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "wg.csv"
+    code, out, err = run_cli(capsys, ["wg", "--n", "4", "--p", "2", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert "cannot open --out" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-moments", "--n", "3", "--k", "3", "--m", "4"],
+        ["exact-moments", "--n", "2", "--k", "2", "--p-max", "4"],
+        ["entropy", "--d", "0", "--c", "5/2", "--n-list", "8", "--trials", "1", "--seed", "1"],
+    ],
+)
+def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
+    target = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert not target.exists()
+
+
 def test_wg_rejects_small_n(capsys):
     code, _, err = run_cli(capsys, ["wg", "--n", "1", "--p", "2"])
     assert code == 2
@@ -40,7 +86,7 @@ def test_wg_rejects_small_n(capsys):
 def test_wg_json(capsys):
     code, out, _ = run_cli(capsys, ["wg", "--n", "3", "--p", "3", "--format", "json"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["schema_version"] == "wgchan-schema v1"
     assert doc["config"]["command"] == "wg"
     types = {row["cycle_type"] for row in doc["rows"]}
@@ -100,6 +146,17 @@ def test_minimize_interface_case(capsys):
     assert "id" in s1["minimizers"] and "delta" in s1["minimizers"]
 
 
+def test_minimize_csv_rows_have_five_fields(capsys):
+    # unlabelled minimizers render as "(1, 2, 3, 0)", so the field is quoted
+    code, out, _ = run_cli(capsys, ["minimize", "--p", "2", "--d", "0"])
+    assert code == 0
+    lines = out.splitlines()
+    table = list(csv.reader(lines[1:]))
+    assert table[0] == ["problem", "d", "minimum", "n_minimizers", "minimizers"]
+    assert len(table) > 1 and all(len(row) == 5 for row in table)
+    assert any("(1, 2, 3, 0)" in row[4] for row in table)
+
+
 def test_minimize_cap(capsys):
     code, _, err = run_cli(capsys, ["minimize", "--p", "5", "--d", "1"])
     assert code == 2
@@ -134,6 +191,38 @@ def test_compare_strict_fails_on_corrupted_scale(capsys):
     assert "strict" in err
 
 
+def test_compare_strict_rejects_single_trial(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["compare", "--n", "3", "--k", "3", "--p-max", "2", "--trials", "1", "--seed", "7",
+         "--strict", "--rescale", "100"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "2 trials" in err
+
+
+def test_compare_strict_fails_on_nan_gate(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_z", lambda mean, stderr, reference: float("nan"))
+    code, _, err = run_cli(
+        capsys,
+        ["compare", "--n", "2", "--k", "2", "--p-max", "2", "--trials", "50", "--seed", "5", "--strict"],
+    )
+    assert code == 3
+    assert "nan" in err
+
+
+def test_compare_single_trial_json_is_strict(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["compare", "--n", "3", "--k", "3", "--p-max", "2", "--trials", "1", "--seed", "7",
+         "--format", "json"],
+    )
+    assert code == 0
+    rows = strict_json(out)["rows"]
+    assert all(r["mc_stderr"] is None and r["z_exact"] is None for r in rows)
+
+
 def test_compare_independent_has_no_exact_column(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -161,7 +250,7 @@ def test_compare_json_document(capsys):
          "--seed", "4", "--format", "json"],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["config"]["trials"] == 200
     assert set(doc["rows"][0]) == {"p", "exact", "mc_mean", "mc_stderr", "theory", "z_exact", "z_theory"}
 
@@ -208,6 +297,18 @@ def test_entropy_command(capsys):
         assert r["predicted_defect"] == "0.125"
         # empirical entropy sits below the hard bound
         assert float(r["h_mean"]) < float(r["naive_bound"])
+
+
+def test_entropy_single_trial_json_is_strict(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["entropy", "--d", "1", "--c", "1/2", "--n-list", "8", "--trials", "1", "--seed", "3",
+         "--format", "json"],
+    )
+    assert code == 0
+    row = strict_json(out)["rows"][0]
+    assert row["h_stderr"] is None and row["defect_stderr"] is None
+    assert row["h_mean"] > 0
 
 
 def test_entropy_d0_rejects_fractional_c(capsys):

@@ -3,11 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgchan import perm
 from wgchan.perm import CycleType, Permutation
 from wgchan.weingarten import (
     IndexTuple,
+    gram_census,
     haar_moment,
     haar_moment_mc,
     partitions,
@@ -58,6 +61,46 @@ def test_wg_n4_p2_values():
 def test_convolution_identity_exact(p):
     for n in (p, p + 1, 7):
         assert convolution_defect(wg_exact(n, p), n, p) == 0
+
+
+def _order_and_dimension(max_p, max_n):
+    return st.integers(1, max_p).flatmap(lambda p: st.tuples(st.just(p), st.integers(p, max_n)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_order_and_dimension(5, 40))
+def test_convolution_identity_random_dimension(order_and_n):
+    p, n = order_and_n
+    assert convolution_defect(wg_exact(n, p), n, p) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_order_and_dimension(7, 200))
+def test_cycle_closed_form_matches_table_random(order_and_n):
+    p, n = order_and_n
+    assert wg_cycle_exact(n, p) == wg_exact(n, p)[CycleType((p,))]
+
+
+def _class_size(parts):
+    size = math.factorial(sum(parts))
+    for d in set(parts):
+        mult = parts.count(d)
+        size //= d**mult * math.factorial(mult)
+    return size
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_gram_census_totals(p):
+    # each row counts every tau once: class mu's cells sum to |mu| and the row
+    # to p!; against the identity every tau in mu has exactly #mu cycles
+    census = gram_census(p)
+    classes = partitions(p)
+    for lam, row in zip(classes, census):
+        for parts, cell in zip(classes, row):
+            assert sum(cell) == _class_size(parts)
+            if lam == (1,) * p:
+                assert cell[len(parts)] == _class_size(parts)
+        assert sum(map(sum, row)) == math.factorial(p)
 
 
 def test_wg_rejects_singular_regime():
