@@ -90,7 +90,9 @@ class Writer:
 
 @contextmanager
 def _writer(args, columns: list[str], config: dict):
-    """A Writer on --out (default stdout), finished and closed on exit."""
+    """A Writer on --out (default stdout), closed on exit.  The JSON document
+    is written only when the command returns normally, so a run that fails
+    part-way leaves no document that parses; CSV rows stream as they come."""
     if args.out is None:
         out = sys.stdout
     else:
@@ -101,8 +103,8 @@ def _writer(args, columns: list[str], config: dict):
     writer = Writer(columns, args.format, out, config)
     try:
         yield writer
-    finally:
         writer.close()
+    finally:
         if out is not sys.stdout:
             out.close()
 
@@ -149,6 +151,8 @@ def cmd_wg(args) -> int:
 
 
 def cmd_exact_moments(args) -> int:
+    if args.pinched and args.m is not None:
+        raise CliError("--m does not apply to --pinched, which is defined at m = n")
     m = args.n if args.m is None else args.m
     config = {
         "command": "exact-moments",
@@ -159,7 +163,7 @@ def cmd_exact_moments(args) -> int:
         "pinched": args.pinched,
     }
     try:
-        moments.validate_exact_args(args.p_max, args.n, args.k, args.n if args.pinched else m)
+        moments.validate_exact_args(args.p_max, args.n, args.k, m)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     with _writer(args, ["p", "exact", "exact_float"], config) as writer:
@@ -454,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_wg)
     p_wg.set_defaults(func=cmd_wg)
 
-    p_em = sub.add_parser("exact-moments", help="exact E tr(Z^p) by permutation sums")
+    p_em = sub.add_parser("exact-moments", help="exact E tr(Z^p), p <= 4, as one class-weighted sum over S_2p")
     p_em.add_argument("--n", type=int, required=True)
     p_em.add_argument("--k", type=int, required=True)
-    p_em.add_argument("--m", type=int, default=None)
+    p_em.add_argument("--m", type=int, default=None, help="input dimension (default n; not with --pinched)")
     p_em.add_argument("--p-max", type=int, default=2)
     p_em.add_argument("--pinched", action="store_true")
     add_output(p_em)
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="exact vs Monte Carlo vs theory moments")
+    p_cmp = sub.add_parser("compare", help="exact (one sum over S_2p, p <= 4) vs Monte Carlo vs theory moments")
     p_cmp.add_argument("--flavor", choices=["conjugate", "independent"], default="conjugate")
     p_cmp.add_argument("--n", type=int, required=True)
     p_cmp.add_argument("--k", type=int, required=True)

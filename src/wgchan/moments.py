@@ -1,13 +1,21 @@
-"""Moments of product-channel outputs: the exact permutation sums over
-S_{2p} x S_{2p}, the pinched sums over choice functions, their leading-order
-predictions in every growth regime, and the exponent-minimization problems
-(S, S1, S2) whose solution tables drive those predictions.
+"""Moments of product-channel outputs: the exact permutation sums, the
+pinched sums over choice functions, their leading-order predictions in every
+growth regime, and the exponent-minimization problems (S, S1, S2) whose
+solution tables drive those predictions.
 
-The exact sums group the (2p)!^2 terms by the joint statistic
-(cycle type of alpha beta^{-1}, #alpha, #(alpha gamma^{-1}), #(beta delta)),
-a small integer census computed once per order; evaluation at any dimensions
-(n, k, m) is then an exact rational combination of census counts and
-Weingarten values at the composite dimension nk.
+The exact moment is a sum over pairs (alpha, beta) in S_{2p} x S_{2p} of
+k^{#alpha} n^{#(alpha gamma^{-1})} m^{#(beta delta)} Wg(nk, alpha beta^{-1}).
+With alpha' = alpha delta (delta is an involution) the beta sum becomes the
+class function H = G_{2p}(m) Wg(nk), where G_{2p} is the Gram matrix of
+``weingarten.gram_census(2p)``, so
+
+    E tr Z^p = m^{-p} sum_{alpha' in S_{2p}}
+               k^{#(alpha' delta)} n^{#(alpha' delta gamma^{-1})} H(class alpha').
+
+The alpha' sum is grouped by (class, #(alpha' delta), #(alpha' delta gamma^{-1})),
+an integer census computed once per order and wiring (gamma, or f_hat for the
+pinched sum); evaluation at any (n, k, m) is integer arithmetic up to one dot
+product with the Weingarten values.  S_{2p} is enumerated, so p <= 4.
 """
 
 from __future__ import annotations
@@ -29,11 +37,8 @@ from .perm import (
     is_geodesic,
     make_gamma_delta,
 )
-from .weingarten import WgTable, wg_exact
+from .weingarten import WgTable, gram_matrix, partitions, wg_exact
 
-#: Exact double sums run at p <= this by default; p = 4 walks S_8^2 and is
-#: gated behind allow_heavy.
-DEFAULT_EXACT_ORDER = 3
 #: Pair searches (S and the pinched variant) enumerate S_{2p}^2.
 DEFAULT_PAIR_ORDER = 3
 
@@ -210,61 +215,47 @@ def _cycles_after(g: _Group, right_images: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _pair_census(p: int, rf_images: tuple[int, ...]) -> np.ndarray:
-    """Joint census over (alpha, beta) in S_{2p}^2 of
-    (type(alpha beta^{-1}), #alpha, #(alpha rf^{-1}), #(beta delta)),
-    returned as an integer array [ct, a, b, c]."""
+def _class_census(p: int, target_images: tuple[int, ...]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Census over alpha in S_{2p} of (class of alpha, #(alpha delta),
+    #(alpha delta target^{-1})): for each class in ``partitions(2p)`` order,
+    the nonzero cells as (a, b, count) triples."""
     m = 2 * p
     g = _group(m)
     _, delta, _ = make_gamma_delta(p)
-    rf_inv = Permutation(rf_images).inverse()
-
-    n_a = g.ncycles
-    n_b = g.ncycles[_index_of(g, g.perms[:, list(rf_inv.images)])]
-    n_c = g.ncycles[_index_of(g, g.perms[:, list(delta.images)])]
-
-    n_elems = g.perms.shape[0]
-    n_ct = len(g.types)
+    n_a = _cycles_after(g, delta.images)
+    n_b = _cycles_after(g, (delta * Permutation(target_images).inverse()).images)
+    class_of = {parts: idx for idx, parts in enumerate(partitions(m))}
+    cls = np.array([class_of[ct.parts] for ct in g.types], dtype=np.int64)[g.ct_index]
     base = m + 1
-    counts = np.zeros(n_ct * base**3, dtype=np.int64)
-    inv_all = g.perms[g.inverse]  # (N, m): images of beta^{-1}
-
-    chunk = max(1, int(4_000_000 // max(n_elems * m, 1)))
-    for start in range(0, n_elems, chunk):
-        stop = min(start + chunk, n_elems)
-        composed = g.perms[start:stop][:, inv_all]  # (c, N, m): alpha(beta^{-1}(x))
-        ct = g.ct_index[_index_of(g, composed.reshape(-1, m))].reshape(stop - start, n_elems)
-        key = ((ct * base + n_a[start:stop, None]) * base + n_b[start:stop, None]) * base + n_c[None, :]
-        counts += np.bincount(key.ravel(), minlength=counts.size)
-    return counts.reshape(n_ct, base, base, base)
+    counts = np.bincount((cls * base + n_a) * base + n_b, minlength=len(class_of) * base * base)
+    counts = counts.reshape(len(class_of), base, base)
+    return tuple(
+        tuple((int(a), int(b), int(block[a, b])) for a, b in zip(*np.nonzero(block))) for block in counts
+    )
 
 
-def _census_sum(census: np.ndarray, types: list[CycleType], weights, wg: WgTable) -> Fraction:
-    """sum over census cells of count * weights(a, b, c) * Wg(cycle type)."""
-    total = Fraction(0)
-    for ct_idx in range(census.shape[0]):
-        block = census[ct_idx]
-        if not block.any():
-            continue
-        coeff = 0
-        for a, b, c in zip(*np.nonzero(block)):
-            coeff += int(block[a, b, c]) * weights(int(a), int(b), int(c))
-        total += coeff * wg.of_type(types[ct_idx])
-    return total
+def _class_weights(p: int, target: Permutation, k: int, n: int) -> list[int]:
+    """Per class lam: sum over alpha in lam of k^{#(alpha delta)} n^{#(alpha delta target^{-1})}."""
+    k_pow = [k**a for a in range(2 * p + 1)]
+    n_pow = [n**b for b in range(2 * p + 1)]
+    return [sum(cnt * k_pow[a] * n_pow[b] for a, b, cnt in cells) for cells in _class_census(p, target.images)]
 
 
-def validate_exact_args(
-    p: int, n: int, k: int, m: int, max_order: int = DEFAULT_EXACT_ORDER, allow_heavy: bool = False
-):
+def _single_sum(p: int, weights: list[int], m: int, wg: WgTable) -> Fraction:
+    """sum_lam weights[lam] H(lam), where H = G_{2p}(m) Wg is the beta sum
+    sum_tau m^{#(sigma_lam tau^{-1})} Wg(tau) taken class by class."""
+    gram = gram_matrix(2 * p, m)
+    row = [sum(w * g_row[mu] for w, g_row in zip(weights, gram)) for mu in range(len(gram))]
+    return sum(r * wg.of_type(CycleType(parts)) for r, parts in zip(row, partitions(2 * p)))
+
+
+def validate_exact_args(p: int, n: int, k: int, m: int):
     """Raise ValueError unless the exact sums accept every order up to p at (n, k, m)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    cap = max_order if not allow_heavy else DEFAULT_ENUMERATION_CAP // 2
+    cap = DEFAULT_ENUMERATION_CAP // 2
     if p > cap:
-        raise ValueError(
-            f"p={p} exceeds the exact-sum cap {cap}"
-            + ("" if allow_heavy else " (pass allow_heavy=True to opt in up to p=4)")
-        )
+        raise ValueError(f"p={p} exceeds the exact-sum cap {cap} (the sum enumerates S_2p)")
     if n * k < 2 * p:
         raise ValueError(f"need n*k >= 2p for an invertible Weingarten table, got {n * k} < {2 * p}")
     if (n * k) % m != 0:
@@ -279,55 +270,37 @@ def _wg_for(n: int, k: int, p: int, wg: WgTable | None) -> WgTable:
     return wg
 
 
-def exact_moment_conjugate(
-    p: int,
-    n: int,
-    k: int,
-    m: int | None = None,
-    wg: WgTable | None = None,
-    max_order: int = DEFAULT_EXACT_ORDER,
-    allow_heavy: bool = False,
-) -> Fraction:
+def exact_moment_conjugate(p: int, n: int, k: int, m: int | None = None, wg: WgTable | None = None) -> Fraction:
     """Exact E[tr(Z^p)] for the conjugate product channel at finite (n, k, m):
 
         sum_{alpha, beta in S_{2p}}
             k^{#alpha} n^{#(alpha gamma^{-1})} m^{#(beta delta) - p}
             Wg(nk, alpha beta^{-1})
 
-    evaluated in rational arithmetic.
+    evaluated in rational arithmetic as the single sum over alpha' = alpha delta
+    described in the module docstring.
     """
     m = n if m is None else m
-    validate_exact_args(p, n, k, m, max_order, allow_heavy)
+    validate_exact_args(p, n, k, m)
     table = _wg_for(n, k, p, wg)
     gamma, _, _ = make_gamma_delta(p)
-    census = _pair_census(p, gamma.images)
-    types = _group(2 * p).types
-    total = _census_sum(census, types, lambda a, b, c: k**a * n**b * m**c, table)
-    return total / Fraction(m) ** p
+    return _single_sum(p, _class_weights(p, gamma, k, n), m, table) / Fraction(m) ** p
 
 
-def exact_moment_pinched(
-    p: int,
-    n: int,
-    k: int,
-    wg: WgTable | None = None,
-    max_order: int = DEFAULT_EXACT_ORDER,
-    allow_heavy: bool = False,
-) -> Fraction:
+def exact_moment_pinched(p: int, n: int, k: int, wg: WgTable | None = None) -> Fraction:
     """Exact E[tr((QZQ)^p)] at m = n, summed over all 2^p choice functions:
     each term carries sign (-1)^{#Bell picks}, Bell normalization n^{-#Bell},
-    and the permutation sum with gamma replaced by f_hat."""
-    validate_exact_args(p, n, k, n, max_order, allow_heavy)
+    and the permutation sum with gamma replaced by f_hat.  The class weights of
+    all choice functions are combined before the one single sum."""
+    validate_exact_args(p, n, k, n)
     table = _wg_for(n, k, p, wg)
-    types = _group(2 * p).types
-    total = Fraction(0)
+    weights = [0] * len(partitions(2 * p))
     for f in choice_functions(p):
-        f_hat = choice_to_permutation(f)
-        census = _pair_census(p, f_hat.images)
-        inner = _census_sum(census, types, lambda a, b, c: k**a * n ** (b + c), table)
         e = f.bell_count
-        total += (-1) ** e * inner / Fraction(n) ** (p + e)
-    return total
+        scale = (-1) ** e * n ** (p - e)
+        for lam, w in enumerate(_class_weights(p, choice_to_permutation(f), k, n)):
+            weights[lam] += scale * w
+    return _single_sum(p, weights, n, table) / Fraction(n) ** (2 * p)
 
 
 def vanishing_cancellation_check(p: int, alpha: Permutation, max_order: int = DEFAULT_PAIR_ORDER) -> bool:
@@ -381,9 +354,7 @@ def _length_table(p: int) -> np.ndarray:
 
 
 def _length_after(p: int, right: Permutation) -> np.ndarray:
-    g = _group(2 * p)
-    rows = g.perms[:, list(right.images)]
-    return (2 * p - g.ncycles[_index_of(g, rows)]).astype(np.int64)
+    return 2 * p - _cycles_after(_group(2 * p), right.images)
 
 
 @lru_cache(maxsize=4)

@@ -382,13 +382,6 @@ def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator) -> np.nda
     return haar_isometry(spec.n * spec.k, spec.m, rng)
 
 
-def isometry_columns_of(spec: ChannelSpec, unitary: np.ndarray) -> np.ndarray:
-    """The columns of U that `_stinespring_isometry` models: U applied to
-    the vectors |i> (x) |0_l>."""
-    cols = np.arange(spec.m) * spec.l
-    return unitary[:, cols]
-
-
 def _gram_from_isometries(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray, keep_factor: bool):
     n, k, m = spec.n, spec.k, spec.m
     a1 = v_a.T  # a1[i, (a, k1)] = <a (x) k1 | V | i>
@@ -603,18 +596,10 @@ def run_ensemble(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scale, drop_largest, full_spectrum = _ensemble_defaults(spec, scale, drop_largest, full_spectrum)
-
-    def one(t: int) -> dict[str, float]:
-        return _trial_statistics(spec, trial_rng(seed, t), scale, drop_largest, full_spectrum)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
-
+    results = [
+        stats
+        for _, stats in iter_trial_statistics(spec, trials, seed, scale, drop_largest, full_spectrum, threads)
+    ]
     report = EnsembleReport(spec=spec, trials=trials, seed=seed, scale=scale, drop_largest=drop_largest)
     for name in results[0]:
         report.per_trial[name] = np.array([r[name] for r in results])
@@ -636,6 +621,8 @@ class MomentEnsemble:
 
     def stderr(self, p: int, pinched: bool = False) -> float:
         col = self._pick(pinched)[:, p - 1]
+        if col.size < 2:
+            return float("nan")
         return float(col.std(ddof=1) / math.sqrt(col.size))
 
     def _pick(self, pinched: bool) -> np.ndarray:

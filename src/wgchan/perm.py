@@ -220,13 +220,6 @@ def mobius(a: Permutation) -> int:
     return out
 
 
-def mobius_of_type(ct: CycleType) -> int:
-    out = 1
-    for d in ct.parts:
-        out *= (-1) ** (d - 1) * catalan(d - 1)
-    return out
-
-
 def _tpos(i: int, p: int) -> int:
     return p + i - 1
 

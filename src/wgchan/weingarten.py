@@ -101,6 +101,19 @@ def gram_census(p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(tuple(cell) for cell in row) for row in counts)
 
 
+def gram_matrix(p: int, x: int) -> list[list[int]]:
+    """The Gram matrix ``G[lam][mu] = sum_{tau in class mu} x^{#(sigma_lam tau^{-1})}``
+    of S_p at the integer x, evaluated in integers (Horner) from ``gram_census(p)``."""
+
+    def at_x(cell: tuple[int, ...]) -> int:
+        value = 0
+        for cnt in reversed(cell):
+            value = value * x + cnt
+        return value
+
+    return [[at_x(cell) for cell in row] for row in gram_census(p)]
+
+
 def _solve_integer(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
     """Solve A x = b for integer A, b: fraction-free (Bareiss) elimination to
     upper-triangular form, every division exact, then rational back-substitution."""
@@ -146,10 +159,8 @@ def wg_exact(n: int, p: int, max_order: int = DEFAULT_WG_ORDER_CAP) -> WgTable:
         raise ValueError(f"n < p ({n} < {p}): the Gram matrix is singular, table rejected")
 
     parts_list = partitions(p)
-    powers = [n**c for c in range(p + 1)]
-    gram = [[sum(cnt * pw for cnt, pw in zip(cell, powers)) for cell in row] for row in gram_census(p)]
     rhs = [1 if parts == (1,) * p else 0 for parts in parts_list]
-    solution = _solve_integer(gram, rhs)
+    solution = _solve_integer(gram_matrix(p, n), rhs)
     values = {CycleType(parts): solution[idx] for idx, parts in enumerate(parts_list)}
     return WgTable(n=n, p=p, values=values)
 

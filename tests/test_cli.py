@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wgchan import cli
+from wgchan import cli, montecarlo
 from wgchan.cli import main
 
 
@@ -67,6 +67,7 @@ def test_unwritable_out_is_invalid_input(tmp_path, capsys):
     [
         ["exact-moments", "--n", "3", "--k", "3", "--m", "4"],
         ["exact-moments", "--n", "2", "--k", "2", "--p-max", "4"],
+        ["exact-moments", "--n", "3", "--k", "3", "--m", "9", "--pinched"],
         ["entropy", "--d", "0", "--c", "5/2", "--n-list", "8", "--trials", "1", "--seed", "1"],
     ],
 )
@@ -221,6 +222,22 @@ def test_compare_single_trial_json_is_strict(capsys):
     assert code == 0
     rows = strict_json(out)["rows"]
     assert all(r["mc_stderr"] is None and r["z_exact"] is None for r in rows)
+
+
+def test_compare_failing_part_way_writes_no_json_document(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("ensemble failed")
+
+    monkeypatch.setattr(montecarlo, "moment_ensemble", fail)
+    code, out, err = run_cli(
+        capsys,
+        ["compare", "--n", "2", "--k", "2", "--p-max", "2", "--trials", "50", "--seed", "5",
+         "--format", "json"],
+    )
+    assert code == 2
+    assert "ensemble failed" in err
+    with pytest.raises(ValueError):
+        strict_json(out)
 
 
 def test_compare_independent_has_no_exact_column(capsys):

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgchan import perm
 from wgchan.moments import (
@@ -20,7 +22,7 @@ from wgchan.moments import (
     reference_S2,
     vanishing_cancellation_check,
 )
-from wgchan.perm import Permutation, make_gamma_delta
+from wgchan.perm import Permutation, all_permutations, make_gamma_delta
 from wgchan.weingarten import wg_exact
 
 
@@ -80,12 +82,37 @@ def test_census_matches_bruteforce_p1():
     assert exact_moment_conjugate(1, 4, 3, 6) == brute_moment_conjugate(1, 4, 3, 6)
 
 
+def wick_moment_conjugate(p, n, k):
+    """Gaussianization oracle at m = 1, with no Weingarten table: a Haar vector
+    is a Gaussian vector over its norm, so E tr Z^p is the Wick sum
+    sum_sigma n^{#sigma} k^{#(gamma^{-1} sigma)} over S_2p divided by the
+    rising factorial (nk)(nk+1)...(nk+2p-1)."""
+    gamma, _, _ = make_gamma_delta(p)
+    ginv = gamma.inverse()
+    wick = sum(n**s.num_cycles * k ** perm.compose(ginv, s).num_cycles for s in all_permutations(2 * p))
+    rising = 1
+    for j in range(2 * p):
+        rising *= n * k + j
+    return Fraction(wick, rising)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6))
+def test_single_sum_matches_wick_oracle(p, n, k):
+    assume(n * k >= 2 * p)
+    assert exact_moment_conjugate(p, n, k, 1) == wick_moment_conjugate(p, n, k)
+
+
+def test_order_four_frozen_value():
+    assert exact_moment_conjugate(4, 4, 2, 4) == Fraction(50735, 288288)
+
+
 @pytest.mark.slow
 def test_heavy_order_four_cross_validated():
-    # the gated p = 4 path (S_8 census): frozen value cross-checked by MC
+    # p = 4, the largest order the S_2p enumeration allows: frozen value cross-checked by MC
     from wgchan.montecarlo import conjugate_spec, moment_ensemble
 
-    value = exact_moment_conjugate(4, 4, 2, 4, allow_heavy=True)
+    value = exact_moment_conjugate(4, 4, 2, 4)
     assert value == Fraction(50735, 288288)
     ens = moment_ensemble(conjugate_spec(4, 2, 4), 4, 50_000, seed=4444)
     z = abs(ens.mean(4) - float(value)) / ens.stderr(4)
@@ -98,9 +125,7 @@ def test_exact_moment_preconditions():
     with pytest.raises(ValueError):
         exact_moment_conjugate(2, 3, 3, 4)  # m does not divide nk
     with pytest.raises(ValueError):
-        exact_moment_conjugate(4, 8, 8, 8)  # beyond default cap
-    with pytest.raises(ValueError):
-        exact_moment_conjugate(5, 16, 16, 16, allow_heavy=True)  # beyond hard cap
+        exact_moment_conjugate(5, 16, 16, 16)  # beyond the S_2p enumeration cap
 
 
 def test_wg_table_shape_checked():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,13 @@ def test_moment_ensemble_matches_product_output_statistics():
     )
     se = math.hypot(ens.stderr(2), direct.std(ddof=1) / math.sqrt(direct.size))
     assert abs(ens.mean(2) - direct.mean()) < 5 * se
+
+
+def test_moment_ensemble_single_trial_stderr_is_nan():
+    ens = moment_ensemble(conjugate_spec(3, 2), 2, 1, 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(ens.stderr(1))
 
 
 def test_independent_flavor_consumes_two_draws():
