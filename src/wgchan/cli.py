@@ -197,8 +197,8 @@ def _label_one(entry, labels) -> str:
 
 
 def cmd_minimize(args) -> int:
-    if args.p > 3:
-        raise CliError(f"p={args.p} exceeds the pair-search cap 3")
+    if args.p > moments.DEFAULT_PAIR_ORDER:
+        raise CliError(f"p={args.p} exceeds the pair-search cap {moments.DEFAULT_PAIR_ORDER}")
     d_values = [_parse_d(text) for text in args.d]
     config = {"command": "minimize", "p": args.p, "d": [str(d) for d in d_values]}
     columns = ["problem", "d", "minimum", "n_minimizers", "minimizers"]
@@ -315,6 +315,8 @@ def cmd_compare(args) -> int:
     }
     if args.pinched and spec.flavor != "conjugate":
         raise CliError("pinched comparison is defined for the conjugate flavor")
+    if args.pinched and spec.m != spec.n:
+        raise CliError(f"pinched comparison is defined at m = n, got m={spec.m} with n={spec.n}")
     if args.strict and args.trials < 2:
         raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
     gates = []
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--flavor", choices=["conjugate", "independent"], default="conjugate")
     p_cmp.add_argument("--n", type=int, required=True)
     p_cmp.add_argument("--k", type=int, required=True)
-    p_cmp.add_argument("--m", type=int, default=None)
+    p_cmp.add_argument("--m", type=int, default=None, help="input dimension (default n; must equal n with --pinched)")
     p_cmp.add_argument("--p-max", type=int, default=2)
     p_cmp.add_argument("--trials", type=int, required=True)
     p_cmp.add_argument("--seed", type=int, required=True)

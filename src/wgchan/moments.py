@@ -13,9 +13,11 @@ class function H = G_{2p}(m) Wg(nk), where G_{2p} is the Gram matrix of
                k^{#(alpha' delta)} n^{#(alpha' delta gamma^{-1})} H(class alpha').
 
 The alpha' sum is grouped by (class, #(alpha' delta), #(alpha' delta gamma^{-1})),
-an integer census computed once per order and wiring (gamma, or f_hat for the
-pinched sum); evaluation at any (n, k, m) is integer arithmetic up to one dot
-product with the Weingarten values.  S_{2p} is enumerated, so p <= 4.
+an integer census (``perm.class_census``) computed once per order and wiring
+(gamma, or f_hat for the pinched sum); evaluation at any (n, k, m) is integer
+arithmetic up to one dot product with the Weingarten values.  The census, G_{2p}
+and the minimizations all count over the one cached group table
+``perm.group_table(2p)``, which stops at S_8, so p <= 4.
 """
 
 from __future__ import annotations
@@ -33,11 +35,16 @@ from .perm import (
     CycleType,
     Permutation,
     all_permutations,
+    class_census,
+    cycles_after,
+    group_table,
     identity,
+    index_of,
     is_geodesic,
     make_gamma_delta,
+    partitions,
 )
-from .weingarten import WgTable, gram_matrix, partitions, wg_exact
+from .weingarten import WgTable, gram_matrix, wg_exact
 
 #: Pair searches (S and the pinched variant) enumerate S_{2p}^2.
 DEFAULT_PAIR_ORDER = 3
@@ -147,71 +154,7 @@ def choice_to_permutation(f: ChoiceFunction) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# cached group structure on S_{2p}
-
-
-@dataclass
-class _Group:
-    m: int
-    perms: np.ndarray  # (N, m) uint8, lexicographic
-    inverse: np.ndarray  # (N,) int32
-    ncycles: np.ndarray  # (N,) int64
-    ct_index: np.ndarray  # (N,) int64
-    types: list[CycleType]
-    radix: np.ndarray  # (m,) int64
-    index_of_rank: np.ndarray  # (m**m,) int32
-
-
-@lru_cache(maxsize=4)
-def _group(m: int) -> _Group:
-    if m > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"group degree {m} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    perms_list = list(itertools.permutations(range(m)))
-    n_elems = len(perms_list)
-    perms = np.array(perms_list, dtype=np.uint8)
-    radix = (m ** np.arange(m)).astype(np.int64)
-    ranks = perms.astype(np.int64) @ radix
-    index_of_rank = np.full(m**m, -1, dtype=np.int32)
-    index_of_rank[ranks] = np.arange(n_elems, dtype=np.int32)
-
-    inverse = np.empty(n_elems, dtype=np.int32)
-    ncycles = np.empty(n_elems, dtype=np.int64)
-    type_index: dict[tuple[int, ...], int] = {}
-    types: list[CycleType] = []
-    ct_index = np.empty(n_elems, dtype=np.int64)
-    for idx, images in enumerate(perms_list):
-        inv = [0] * m
-        lens = []
-        seen = [False] * m
-        for start in range(m):
-            inv[images[start]] = start
-            if seen[start]:
-                continue
-            d = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = images[x]
-                d += 1
-            lens.append(d)
-        inverse[idx] = index_of_rank[int(np.dot(inv, radix))]
-        ncycles[idx] = len(lens)
-        key = tuple(sorted(lens, reverse=True))
-        if key not in type_index:
-            type_index[key] = len(types)
-            types.append(CycleType(key))
-        ct_index[idx] = type_index[key]
-    return _Group(m, perms, inverse, ncycles, ct_index, types, radix, index_of_rank)
-
-
-def _index_of(g: _Group, rows: np.ndarray) -> np.ndarray:
-    return g.index_of_rank[rows.astype(np.int64) @ g.radix]
-
-
-def _cycles_after(g: _Group, right_images: tuple[int, ...]) -> np.ndarray:
-    """#(beta . right) for every beta, where right acts first."""
-    rows = g.perms[:, list(right_images)]
-    return g.ncycles[_index_of(g, rows)]
+# exact moments: the single sum over S_{2p}
 
 
 @lru_cache(maxsize=64)
@@ -219,16 +162,9 @@ def _class_census(p: int, target_images: tuple[int, ...]) -> tuple[tuple[tuple[i
     """Census over alpha in S_{2p} of (class of alpha, #(alpha delta),
     #(alpha delta target^{-1})): for each class in ``partitions(2p)`` order,
     the nonzero cells as (a, b, count) triples."""
-    m = 2 * p
-    g = _group(m)
     _, delta, _ = make_gamma_delta(p)
-    n_a = _cycles_after(g, delta.images)
-    n_b = _cycles_after(g, (delta * Permutation(target_images).inverse()).images)
-    class_of = {parts: idx for idx, parts in enumerate(partitions(m))}
-    cls = np.array([class_of[ct.parts] for ct in g.types], dtype=np.int64)[g.ct_index]
-    base = m + 1
-    counts = np.bincount((cls * base + n_a) * base + n_b, minlength=len(class_of) * base * base)
-    counts = counts.reshape(len(class_of), base, base)
+    right = (delta * Permutation(target_images).inverse()).images
+    counts = class_census(2 * p, [delta.images, right])
     return tuple(
         tuple((int(a), int(b), int(block[a, b])) for a, b in zip(*np.nonzero(block))) for block in counts
     )
@@ -349,18 +285,18 @@ class ExponentReport:
 
 
 def _length_table(p: int) -> np.ndarray:
-    g = _group(2 * p)
+    g = group_table(2 * p)
     return (2 * p - g.ncycles).astype(np.int64)
 
 
 def _length_after(p: int, right: Permutation) -> np.ndarray:
-    return 2 * p - _cycles_after(_group(2 * p), right.images)
+    return 2 * p - cycles_after(group_table(2 * p), right.images)
 
 
 @lru_cache(maxsize=4)
 def _pair_length_matrix(p: int) -> np.ndarray:
     """|alpha beta^{-1}| for all pairs, as an (N, N) int16 matrix."""
-    g = _group(2 * p)
+    g = group_table(2 * p)
     n_elems = g.perms.shape[0]
     inv_all = g.perms[g.inverse]
     out = np.empty((n_elems, n_elems), dtype=np.int16)
@@ -368,13 +304,13 @@ def _pair_length_matrix(p: int) -> np.ndarray:
     for start in range(0, n_elems, chunk):
         stop = min(start + chunk, n_elems)
         composed = g.perms[start:stop][:, inv_all]
-        ncyc = g.ncycles[_index_of(g, composed.reshape(-1, 2 * p))]
+        ncyc = g.ncycles[index_of(g, composed.reshape(-1, 2 * p))]
         out[start:stop] = (2 * p - ncyc).reshape(stop - start, n_elems).astype(np.int16)
     return out
 
 
 def _perm_at(p: int, idx: int) -> Permutation:
-    g = _group(2 * p)
+    g = group_table(2 * p)
     return Permutation(tuple(int(x) for x in g.perms[idx]))
 
 
@@ -461,7 +397,7 @@ def minimize_S_pinched(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> Expone
         raise ValueError("the pinched exponent is defined for d in (0,1) or (1,2)")
     num, den = d.numerator, d.denominator
     _, delta, _ = make_gamma_delta(p)
-    g = _group(2 * p)
+    g = group_table(2 * p)
     lengths = _length_table(p)
     len_delta = _length_after(p, delta)
     pair_len = _pair_length_matrix(p).astype(np.int64)

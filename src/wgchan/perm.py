@@ -1,6 +1,7 @@
 """Symmetric-group combinatorics: permutations in one-line notation, cycle
-types, the transposition metric and its geodesics, the Moebius function, and
-the block permutations that index the channel-moment sums.
+types, the transposition metric and its geodesics, the Moebius function, the
+block permutations that index the channel-moment sums, and the cached array
+table of S_m that every exact census counts over.
 
 Composition convention, fixed for the whole package: ``compose(a, b)`` is the
 map ``x -> a(b(x))``, i.e. ``b`` acts first.  One pinned test guards this.
@@ -11,12 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-#: Largest group degree `m` that `all_permutations` enumerates by default.
-#: S_8 has 40320 elements; sums over pairs grow with the square of this.
+#: Largest group degree `m` that `all_permutations` enumerates by default and
+#: `group_table` builds (so at most 8 tables are cached).  S_8 has 40320
+#: elements; the table's radix index holds m**m entries, 67 MB at m = 8.
 DEFAULT_ENUMERATION_CAP = 8
 
 
@@ -280,3 +283,95 @@ def random_permutation(m: int, rng: np.random.Generator) -> Permutation:
 def conjugate(g: Permutation, a: Permutation) -> Permutation:
     """The conjugate ``g a g^{-1}``."""
     return compose(compose(g, a), g.inverse())
+
+
+def partitions(m: int) -> list[tuple[int, ...]]:
+    """Integer partitions of m, parts non-increasing, deterministic order.
+
+    This order indexes the conjugacy classes of S_m everywhere in the package.
+    """
+    if m == 0:
+        return [()]
+    out = []
+
+    def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for part in range(min(remaining, largest), 0, -1):
+            rec(remaining - part, part, prefix + (part,))
+
+    rec(m, m, ())
+    return out
+
+
+@dataclass(frozen=True)
+class GroupTable:
+    """Every element of S_m as arrays, rows in lexicographic order of one-line
+    notation (the order of `all_permutations`)."""
+
+    perms: np.ndarray  # (m!, m) uint8: row i is the one-line notation of element i
+    inverse: np.ndarray  # (m!,) int32: index of the inverse
+    ncycles: np.ndarray  # (m!,) int64: number of cycles
+    cls: np.ndarray  # (m!,) int64: conjugacy class as an index into partitions(m)
+    radix: np.ndarray  # (m,) int64
+    index_of_rank: np.ndarray  # (m**m,) int32: element index of each radix rank
+
+
+@lru_cache(maxsize=None)
+def group_table(m: int) -> GroupTable:
+    """The array table of S_m, built once per degree for the life of the process."""
+    if m > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"group degree {m} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    perms_list = list(itertools.permutations(range(m)))
+    n_elems = len(perms_list)
+    perms = np.array(perms_list, dtype=np.uint8)
+    radix = (m ** np.arange(m)).astype(np.int64)
+    ranks = perms.astype(np.int64) @ radix
+    index_of_rank = np.full(m**m, -1, dtype=np.int32)
+    index_of_rank[ranks] = np.arange(n_elems, dtype=np.int32)
+    # argsort of a row of one-line images is the row of its inverse
+    inverse = index_of_rank[np.argsort(perms, axis=1) @ radix]
+
+    class_of = {parts: idx for idx, parts in enumerate(partitions(m))}
+    ncycles = np.empty(n_elems, dtype=np.int64)
+    cls = np.empty(n_elems, dtype=np.int64)
+    for idx, images in enumerate(perms_list):
+        lens = []
+        seen = [False] * m
+        for start in range(m):
+            if seen[start]:
+                continue
+            d = 0
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+                d += 1
+            lens.append(d)
+        ncycles[idx] = len(lens)
+        cls[idx] = class_of[tuple(sorted(lens, reverse=True))]
+    return GroupTable(perms, inverse, ncycles, cls, radix, index_of_rank)
+
+
+def index_of(table: GroupTable, rows: np.ndarray) -> np.ndarray:
+    """Element index of each row of one-line notations in `rows`."""
+    return table.index_of_rank[rows.astype(np.int64) @ table.radix]
+
+
+def cycles_after(table: GroupTable, right_images: tuple[int, ...]) -> np.ndarray:
+    """#(beta . right) for every beta in the table, where right acts first."""
+    return table.ncycles[index_of(table, table.perms[:, list(right_images)])]
+
+
+def class_census(m: int, rights: list[tuple[int, ...]]) -> np.ndarray:
+    """Census of S_m against fixed right factors r_1, ..., r_j (one-line images):
+    ``counts[lam, c_1, ..., c_j] = #{alpha in class lam : #(alpha r_i) = c_i}``,
+    classes in ``partitions(m)`` order, each c_i in [0, m]."""
+    table = group_table(m)
+    base = m + 1
+    flat = table.cls
+    for right in rights:
+        flat = flat * base + cycles_after(table, right)
+    shape = (len(partitions(m)),) + (base,) * len(rights)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)

@@ -69,6 +69,7 @@ def test_unwritable_out_is_invalid_input(tmp_path, capsys):
         ["exact-moments", "--n", "2", "--k", "2", "--p-max", "4"],
         ["exact-moments", "--n", "3", "--k", "3", "--m", "9", "--pinched"],
         ["entropy", "--d", "0", "--c", "5/2", "--n-list", "8", "--trials", "1", "--seed", "1"],
+        ["compare", "--n", "3", "--k", "3", "--m", "9", "--pinched", "--p-max", "2", "--trials", "4", "--seed", "3"],
     ],
 )
 def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):

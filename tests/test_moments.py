@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from wgchan import perm
 from wgchan.moments import (
     ChoiceFunction,
     RegimeParams,
+    _class_census,
     asymptotic_moment_conjugate,
     choice_functions,
     choice_to_permutation,
@@ -101,13 +103,20 @@ def wick_moment_conjugate(p, n, k):
 def test_single_sum_matches_wick_oracle(p, n, k):
     assume(n * k >= 2 * p)
     assert exact_moment_conjugate(p, n, k, 1) == wick_moment_conjugate(p, n, k)
+    assert exact_moment_conjugate(p, n, k, 1) == exact_moment_conjugate(p, k, n, 1)
 
 
-def test_order_four_frozen_value():
-    assert exact_moment_conjugate(4, 4, 2, 4) == Fraction(50735, 288288)
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_class_census_totals(p):
+    # every wiring counts each alpha in S_2p once, so the per-class totals
+    # agree across gamma and every f_hat and sum to (2p)!
+    gamma, _, _ = make_gamma_delta(p)
+    wirings = [gamma] + [choice_to_permutation(f) for f in choice_functions(p)]
+    totals = {tuple(sum(cnt for _, _, cnt in cells) for cells in _class_census(p, w.images)) for w in wirings}
+    assert len(totals) == 1
+    assert sum(totals.pop()) == math.factorial(2 * p)
 
 
-@pytest.mark.slow
 def test_heavy_order_four_cross_validated():
     # p = 4, the largest order the S_2p enumeration allows: frozen value cross-checked by MC
     from wgchan.montecarlo import conjugate_spec, moment_ensemble

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgchan import perm
 from wgchan.perm import (
@@ -9,10 +13,13 @@ from wgchan.perm import (
     all_permutations,
     compose,
     distance,
+    group_table,
     identity,
+    index_of,
     is_geodesic,
     make_gamma_delta,
     mobius,
+    partitions,
     transposition,
 )
 
@@ -204,3 +211,19 @@ def test_cycle_type_validation():
     ct = CycleType((3, 1))
     assert ct.degree == 4 and ct.num_cycles == 2 and ct.length == 2
     assert str(ct) == "3+1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_group_table_matches_permutation_objects(data):
+    # Permutation objects are the independent oracle for every array field
+    m = data.draw(st.integers(1, 8))
+    table = group_table(m)
+    i, j = (data.draw(st.integers(0, math.factorial(m) - 1)) for _ in range(2))
+    a = Permutation(tuple(int(x) for x in table.perms[i]))
+    b = Permutation(tuple(int(x) for x in table.perms[j]))
+    assert table.ncycles[i] == a.num_cycles
+    assert partitions(m)[table.cls[i]] == a.cycle_type().parts
+    assert tuple(int(x) for x in table.perms[table.inverse[i]]) == a.inverse().images
+    composed = index_of(table, table.perms[i][table.perms[j]][None, :])[0]
+    assert tuple(int(x) for x in table.perms[composed]) == compose(a, b).images

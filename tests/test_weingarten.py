@@ -89,7 +89,7 @@ def _class_size(parts):
     return size
 
 
-@pytest.mark.parametrize("p", range(1, 8))
+@pytest.mark.parametrize("p", range(1, 9))
 def test_gram_census_totals(p):
     # each row counts every tau once: class mu's cells sum to |mu| and the row
     # to p!; against the identity every tau in mu has exactly #mu cycles
