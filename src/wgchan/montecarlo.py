@@ -6,6 +6,17 @@ factors as Z = W W* with W built from the Stinespring isometry, so its nonzero
 spectrum is carried by the k^2 x k^2 Gram matrix G = W* W.  All large-n paths
 work through G and never materialize the n^2 x n^2 output; the dense matrix is
 available below a dimension guard for oracle comparisons.
+
+For the conjugate flavor the mix P = V V* is Hermitian, so the factor obeys
+conj(W) = S_n W S_k, where S_d swaps the two tensor factors of C^d (x) C^d.
+The unitary U_d that keeps each e_aa and puts (e_ab + e_ba)/sqrt 2 at
+position (a, b) and i (e_ab - e_ba)/sqrt 2 at position (b, a), a < b, has
+S_d U_d = conj(U_d), so W' = U_n* W U_k is real.  That flavor builds W' block
+by block straight from V and works in real arithmetic throughout: its
+``gram``, ``bell_overlap`` and ``factor`` are W'^T W' (or W' W'^T), W'^T e
+and W' in that real basis.  Spectra, trace powers, pinching and
+``to_dense()`` do not depend on the basis: e = U_n* e, and ``to_dense()``
+undoes U_n.  The independent flavor has no such symmetry and stays complex.
 """
 
 from __future__ import annotations
@@ -105,7 +116,12 @@ def _herk(w: np.ndarray) -> np.ndarray:
 
 
 def _herm_traces_34(g: np.ndarray) -> tuple[float, float]:
-    """(tr g^3, tr g^4) for Hermitian g with a single triangular update."""
+    """(tr g^3, tr g^4) for Hermitian g: real symmetric g squares as g^T g,
+    which numpy hands to syrk; large complex g takes a single triangular
+    update."""
+    if np.isrealobj(g):
+        g2 = g.T @ g
+        return float(np.vdot(g2, g)), float(np.vdot(g2, g2))
     if _blas is None or g.shape[0] <= 512:
         g2 = g @ g
         tr3 = float(np.sum(g2 * g.T).real)
@@ -206,6 +222,12 @@ class FactoredDensityMatrix:
     the nonzero spectrum of Z.  On the ancilla side ``bell_overlap`` is W* e
     for the maximally entangled unit vector e on the output space, enough to
     pinch by Q = I - ee*.  ``factor`` (W itself) is retained only on request.
+
+    With ``real_basis`` (the conjugate flavor) W is the real factor
+    W' = U_n* W U_k of the module docstring, which obeys conj(W) = S_n W S_k,
+    so ``gram``, ``bell_overlap`` and ``factor`` are real arrays in that
+    basis.  Spectra, trace powers, pinching and ``to_dense()`` (which undoes
+    U_n) do not depend on it.
     """
 
     def __init__(
@@ -216,6 +238,7 @@ class FactoredDensityMatrix:
         bell_overlap: np.ndarray | None,
         factor: np.ndarray | None = None,
         side: str = "ancilla",
+        real_basis: bool = False,
     ):
         if side not in ("ancilla", "output"):
             raise ValueError(f"side must be 'ancilla' or 'output', got {side!r}")
@@ -226,6 +249,7 @@ class FactoredDensityMatrix:
         self.bell_overlap = bell_overlap
         self.factor = factor
         self.side = side
+        self.real_basis = real_basis
         self._eigs: np.ndarray | None = None
 
     @property
@@ -261,8 +285,15 @@ class FactoredDensityMatrix:
         return out[:p_max]
 
     def largest_eigenvalue(self) -> float:
+        return self.largest_eigenvalue_info()[0]
+
+    def largest_eigenvalue_info(self) -> tuple[float, int, bool]:
+        """(lambda_1, power iterations, converged).  Read off the full
+        spectrum (0 iterations, converged) when it is known or the Gram
+        matrix is at most 512 wide; otherwise power iteration from the Bell
+        overlap."""
         if self._eigs is not None or self.gram.shape[0] <= 512:
-            return float(self.eigenvalues()[0])
+            return float(self.eigenvalues()[0]), 0, True
         v0 = self.bell_overlap
         if v0 is None or float(np.linalg.norm(v0)) < 1e-12:
             v0 = self.gram.sum(axis=1)
@@ -275,58 +306,80 @@ class FactoredDensityMatrix:
         """Compression Q Z Q by Q = I - ee* (Bell projector removed)."""
         if self.side == "output":
             z = self.gram
-            e = bell_vector(self.n)
+            e = self._bell()
             ze = z @ e
-            inner = complex(np.vdot(e, ze))
+            inner = np.vdot(e, ze)
             gram = (
                 z
                 - np.outer(e, ze.conj())
                 - np.outer(ze, e.conj())
                 + inner * np.outer(e, e.conj())
             )
-            return FactoredDensityMatrix(self.n, self.k, gram, None, None, side="output")
+            return FactoredDensityMatrix(self.n, self.k, gram, None, None, "output", self.real_basis)
         if self.bell_overlap is None:
             raise ValueError("no Bell overlap stored; cannot pinch")
         g = self.bell_overlap
         gram = self.gram - np.outer(g, g.conj())
         factor = None
         if self.factor is not None:
-            e = bell_vector(self.n)
-            factor = self.factor - np.outer(e, g.conj())
-        return FactoredDensityMatrix(self.n, self.k, gram, np.zeros_like(g), factor)
+            factor = self.factor - np.outer(self._bell(), g.conj())
+        return FactoredDensityMatrix(self.n, self.k, gram, np.zeros_like(g), factor, "ancilla", self.real_basis)
+
+    def _bell(self) -> np.ndarray:
+        """The Bell vector e, real in the real basis (U_n* e = e)."""
+        e = bell_vector(self.n)
+        return e.real if self.real_basis else e
 
     def to_dense(self) -> DensityMatrix:
         if self.dim > DENSE_DIM_GUARD:
             raise ValueError(f"dense dimension {self.dim} exceeds guard {DENSE_DIM_GUARD}")
         if self.side == "output":
-            return DensityMatrix(self.gram, check=False)
+            z = self.gram
+            if self.real_basis:  # U_n G U_n* = U_n (U_n G)* for symmetric G
+                z = _unrotate_rows(_unrotate_rows(z, self.n).conj().T, self.n)
+            return DensityMatrix(z, check=False)
         if self.factor is None:
             raise ValueError("factor not kept; rebuild with keep_factor=True")
-        return DensityMatrix(self.factor @ self.factor.conj().T, check=False)
+        w = _unrotate_rows(self.factor, self.n) if self.real_basis else self.factor
+        return DensityMatrix(w @ w.conj().T, check=False)
 
 
-def _power_lambda1(g: np.ndarray, v0: np.ndarray, max_iter: int = 120, rtol: float = 1e-12) -> float:
+def _unrotate_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """U_n x: rows (a, b) and (b, a), a < b, of the real basis go back to
+    (x_ab + i x_ba)/sqrt 2 and (x_ab - i x_ba)/sqrt 2; rows (a, a) stay."""
+    a, b = np.triu_indices(n, 1)
+    ab, ba = a * n + b, b * n + a
+    out = x.astype(complex)
+    out[ab] = (x[ab] + 1j * x[ba]) * math.sqrt(0.5)
+    out[ba] = (x[ab] - 1j * x[ba]) * math.sqrt(0.5)
+    return out
+
+
+def _power_lambda1(
+    g: np.ndarray, v0: np.ndarray, max_iter: int = 120, rtol: float = 1e-12
+) -> tuple[float, int, bool]:
     """Largest eigenvalue of Hermitian PSD g by power iteration with the
-    Rayleigh quotient.  The quotient increases toward lambda_1 from inside
+    Rayleigh quotient, with the iterations taken and whether successive
+    quotients met `rtol`.  The quotient increases toward lambda_1 from inside
     the spectrum, so an early stop still returns a usable spectral-edge
     estimate when the top eigenvalues cluster."""
-    v = np.asarray(v0, dtype=complex)
+    v = np.asarray(v0, dtype=np.result_type(g, v0))
     norm = float(np.linalg.norm(v))
     if norm == 0:
         raise ValueError("zero starting vector")
     v = v / norm
     rayleigh = 0.0
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         w = g @ v
         new_rayleigh = float(np.vdot(v, w).real)
         scale = float(np.linalg.norm(w))
         if scale == 0:
-            return 0.0
+            return 0.0, it, True
         v = w / scale
         if abs(new_rayleigh - rayleigh) <= rtol * max(abs(new_rayleigh), 1e-300):
-            return new_rayleigh
+            return new_rayleigh, it, True
         rayleigh = new_rayleigh
-    return rayleigh
+    return rayleigh, max_iter, False
 
 
 def entropy_of(eigenvalues: Iterable[float]) -> float:
@@ -382,28 +435,72 @@ def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator) -> np.nda
     return haar_isometry(spec.n * spec.k, spec.m, rng)
 
 
-def _gram_from_isometries(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray, keep_factor: bool):
+#: Complex entries per row block of the real factor build.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray) -> np.ndarray:
+    """W[(a, b), (k1, k2)] = sum_i V_a[(a, k1), i] V_b[(b, k2), i] / sqrt m."""
     n, k, m = spec.n, spec.k, spec.m
-    a1 = v_a.T  # a1[i, (a, k1)] = <a (x) k1 | V | i>
-    d1 = v_b.T
-    mix = a1.T @ d1  # [(a,k1),(b,k2)] = sum_i A[i,a,k1] D[i,b,k2]
+    mix = v_a @ v_b.T
     w = mix.reshape(n, k, n, k).transpose(0, 2, 1, 3).reshape(n * n, k * k)
     w /= math.sqrt(m)
+    return w
+
+
+def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
+    """W' = U_n* W U_k for the conjugate flavor, written into one float64
+    array one row block of P = V V* at a time; neither the complex W nor the
+    full P is ever formed.
+
+    Row (a, b) of W is the k x k block M = P[(a, .), (b, .)] / sqrt m, and
+    row (a, b) of W U_k is X = M U_k.  Since conj(W) = S_n W S_k, row (b, a)
+    of W U_k is conj(X), so U_n* puts sqrt 2 Re X in row (a, b) when a < b,
+    -sqrt 2 Im X when a > b and Re X when a = b.  All three read the same
+    way off Y = s M + conj(s M)^T with s = 1, i, 1/sqrt 2 respectively:
+    Re Y above the diagonal of Y, Im Y below it and Re Y / sqrt 2 on it.
+    """
+    n, k, m = spec.n, spec.k, spec.m
+    a_minus_b = np.subtract.outer(np.arange(n), np.arange(n))
+    scale = np.where(a_minus_b < 0, 1.0, np.where(a_minus_b > 0, 1j, math.sqrt(0.5))) / math.sqrt(m)
+    upper = np.subtract.outer(np.arange(k), np.arange(k)) <= 0
+    diag = np.arange(k)
+    w = np.empty((n * n, k * k))
+    vh = v.conj().T
+    step = max(1, _BLOCK_ENTRIES // (n * k * k))
+    for a0 in range(0, n, step):
+        a1 = min(a0 + step, n)
+        rows = (v[a0 * k : a1 * k] @ vh).reshape(a1 - a0, k, n, k).transpose(0, 2, 1, 3)
+        x = rows * scale[a0:a1, :, None, None]  # [a, b, c, d]
+        y = x + x.swapaxes(2, 3).conj()
+        out = w[a0 * n : a1 * n].reshape(a1 - a0, n, k, k)
+        np.copyto(out, y.real, where=upper)
+        np.copyto(out, y.imag, where=~upper)
+        out[..., diag, diag] *= math.sqrt(0.5)
+    return w
+
+
+def _gram_of_factor(n: int, k: int, w: np.ndarray):
+    """(gram, Bell overlap, side) of the factor: W* W and W* e on the ancilla
+    side (k <= n), W W* and no overlap on the output side.  A real factor
+    takes numpy's real products, a complex one the Hermitian rank-k update."""
+    real = np.isrealobj(w)
     if k <= n:
-        gram = _herk(w)
+        gram = w.T @ w if real else _herk(w)
         diag = w.reshape(n, n, k * k)[np.arange(n), np.arange(n), :]
         overlap = diag.sum(axis=0).conj() / math.sqrt(n)
-        return gram, overlap, (w if keep_factor else None), "ancilla"
-    gram = _herk(w.conj().T)  # Z itself: the output side is the smaller one
-    return gram, None, (w if keep_factor else None), "output"
+        return gram, overlap, "ancilla"
+    gram = w @ w.T if real else _herk(w.conj().T)  # Z itself: the output side is the smaller one
+    return gram, None, "output"
 
 
 def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> FactoredDensityMatrix:
     """Output Z = [Phi (x) Phi_bar](E_m) (or [Phi (x) Psi] for the
     independent flavor) for one random draw.
 
-    Conjugate flavor consumes one isometry draw; independent consumes two
-    from the same stream.  Deterministic given the seed.
+    Conjugate flavor consumes one isometry draw and works in the real basis;
+    independent consumes two from the same stream and stays complex.
+    Deterministic given the seed.
     """
     if spec.output_dim > FACTORED_DIM_GUARD:
         raise ValueError(f"output dimension {spec.output_dim} exceeds guard {FACTORED_DIM_GUARD}")
@@ -414,12 +511,15 @@ def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> Factor
         )
     rng = _as_rng(seed)
     v_a = _stinespring_isometry(spec, rng)
-    if spec.flavor == "conjugate":
-        v_b = v_a.conj()
+    real_basis = spec.flavor == "conjugate"
+    if real_basis:
+        w = _real_factor(spec, v_a)
     else:
-        v_b = _stinespring_isometry(spec, rng)
-    gram, overlap, factor, side = _gram_from_isometries(spec, v_a, v_b, keep_factor)
-    return FactoredDensityMatrix(spec.n, spec.k, gram, overlap, factor, side)
+        w = _complex_factor(spec, v_a, _stinespring_isometry(spec, rng))
+    gram, overlap, side = _gram_of_factor(spec.n, spec.k, w)
+    return FactoredDensityMatrix(
+        spec.n, spec.k, gram, overlap, w if keep_factor else None, side, real_basis
+    )
 
 
 @dataclass(frozen=True)
@@ -524,9 +624,11 @@ def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
             stats[f"bulk_m{p}"] = rep.moments[p - 1]
         stats["bulk_std"] = rep.bulk_std
     else:
-        lam1 = z.largest_eigenvalue()
+        lam1, iters, converged = z.largest_eigenvalue_info()
         traces = z.trace_powers(4)
         stats["lambda1"] = lam1
+        stats["lambda1_iters"] = iters
+        stats["lambda1_converged"] = converged
         top = [lam1] if drop_largest == 1 else []
         if drop_largest == 2:
             raise ValueError("drop_largest=2 requires the full-spectrum path")
@@ -590,8 +692,10 @@ def run_ensemble(
     through the actual ancilla dimension) and one dropped outlier for the
     conjugate flavor, none for the independent flavor.  Entropy is computed
     only on the full-spectrum path (small spectral carrier, or
-    `full_spectrum=True`).  Trial t draws from ``default_rng([seed, t])``, so
-    the result does not depend on `threads`.
+    `full_spectrum=True`).  The trace route instead records, per trial,
+    `lambda1_iters` and `lambda1_converged` of its power iteration (0 and
+    True when lambda_1 comes from a full eigensolve).  Trial t draws from
+    ``default_rng([seed, t])``, so the result does not depend on `threads`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgchan import montecarlo
 from wgchan.montecarlo import (
@@ -215,6 +217,55 @@ def test_product_output_matches_dense_oracle(flavor):
     assert np.abs(ev_dense[: len(ev_gram)] - ev_gram).max() < 1e-12
 
 
+def test_product_output_output_side_to_dense_matches_oracle():
+    # conjugate flavor with k > n: the output-side Gram is Z in the real basis,
+    # and to_dense() must rotate it back to the product basis entry by entry
+    spec = ChannelSpec(n=3, k=5, m=5, flavor="conjugate")
+    v = montecarlo._stinespring_isometry(spec, trial_rng(19, 0))
+    oracle = dense_product_oracle(spec, v, v.conj())
+    z = product_output(spec, trial_rng(19, 0))
+    assert z.side == "output"
+    assert np.abs(z.to_dense().entries - oracle).max() < 1e-12
+
+
+def test_gram_dtype_pins_the_route():
+    # conjugate outputs live in the real basis, independent ones stay complex
+    for n, k in ((4, 3), (3, 5)):
+        assert product_output(conjugate_spec(n, k), 3).gram.dtype == np.float64
+        assert product_output(independent_spec(n, k), 3).gram.dtype == np.complex128
+
+
+@st.composite
+def conjugate_specs(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = draw(st.sampled_from([d for d in range(1, n * k + 1) if (n * k) % d == 0]))
+    return ChannelSpec(n=n, k=k, m=m, flavor="conjugate")
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugate_specs(), st.integers(0, 2**32 - 1))
+def test_real_route_matches_complex_gram(spec, seed):
+    # the real-basis Gram has the spectrum and trace powers of the complex
+    # W* W (or W W* when k > n) built from the same isometry draw, and its
+    # pinching matches the dense Q Z Q oracle
+    n, k, m = spec.n, spec.k, spec.m
+    v = montecarlo._stinespring_isometry(spec, trial_rng(seed, 0))
+    w = (v @ v.conj().T).reshape(n, k, n, k).transpose(0, 2, 1, 3).reshape(n * n, k * k) / math.sqrt(m)
+    gram = w.conj().T @ w if k <= n else w @ w.conj().T
+    z = product_output(spec, trial_rng(seed, 0))
+    assert z.gram.dtype == np.float64 and z.side == ("ancilla" if k <= n else "output")
+    expected = np.linalg.eigvalsh(gram)[::-1]
+    assert np.abs(z.eigenvalues() - expected).max() < 1e-12
+    powers = [float(np.sum(expected**p)) for p in range(1, 5)]
+    assert np.abs(np.array(z.trace_powers(4)) - powers).max() < 1e-12
+
+    e = bell_vector(n)
+    q = np.eye(n * n) - np.outer(e, e.conj())
+    oracle = np.linalg.eigvalsh(q @ (w @ w.conj().T) @ q)[::-1]
+    pinched = z.pinched().eigenvalues()
+    assert np.abs(pinched - oracle[: pinched.size]).max() < 1e-12
+
+
 def test_product_output_trace_one():
     for seed in range(5):
         z = product_output(conjugate_spec(4, 3), seed)
@@ -267,8 +318,21 @@ def test_power_iteration_matches_dense_top():
     basis, _ = np.linalg.qr(rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600)))
     spectrum = np.concatenate([[2.0], rng.uniform(0.0, 1.0, 599)])
     g = (basis * spectrum) @ basis.conj().T
-    top = montecarlo._power_lambda1(g, g.sum(axis=1))
+    top, iters, converged = montecarlo._power_lambda1(g, g.sum(axis=1))
     assert top == pytest.approx(2.0, rel=1e-10)
+    assert converged and iters < 120
+
+
+def test_power_iteration_reports_no_convergence_on_clustered_top():
+    # two top eigenvalues 1e-4 apart: 10 steps cannot separate them, and the
+    # solver says so instead of passing the quotient off as converged
+    rng = np.random.default_rng(4)
+    basis, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    spectrum = np.concatenate([[1.0, 1.0 - 1e-4], rng.uniform(0.0, 0.5, 298)])
+    g = (basis * spectrum) @ basis.T
+    top, iters, converged = montecarlo._power_lambda1(g, g.sum(axis=1), max_iter=10)
+    assert not converged and iters == 10
+    assert 0.5 < top <= 1.0 + 1e-12
 
 
 def test_density_matrix_validation():
@@ -362,6 +426,19 @@ def test_trace_route_agrees_with_full_spectrum():
     fast = run_ensemble(spec, 4, 21, full_spectrum=False)
     for name in ("lambda1", "bulk_m1", "bulk_m2", "bulk_m3", "bulk_std"):
         assert np.allclose(full.per_trial[name], fast.per_trial[name], rtol=1e-9)
+
+
+def test_trace_route_reports_power_iteration():
+    # a 576-wide Gram takes the power iteration; each trial says how many
+    # steps it took and whether it converged, and lambda1 agrees with the
+    # full eigensolve
+    spec = conjugate_spec(24, 24)
+    fast = run_ensemble(spec, 2, 8, full_spectrum=False)
+    full = run_ensemble(spec, 2, 8, full_spectrum=True)
+    assert np.all(fast.per_trial["lambda1_converged"])
+    assert np.all((fast.per_trial["lambda1_iters"] >= 1) & (fast.per_trial["lambda1_iters"] < 120))
+    assert np.allclose(fast.per_trial["lambda1"], full.per_trial["lambda1"], rtol=1e-9)
+    assert "lambda1_iters" not in full.per_trial
 
 
 def test_moment_ensemble_trace_normalization_and_determinism():
