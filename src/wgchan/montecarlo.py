@@ -26,11 +26,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-
-try:
-    from scipy.linalg import blas as _blas
-except ImportError:  # pragma: no cover
-    _blas = None
+from scipy.linalg import blas as _blas
+from scipy.linalg import eigh_tridiagonal
 
 #: Largest matrix dimension materialized densely (entries = this squared).
 DENSE_DIM_GUARD = 4096
@@ -103,38 +100,57 @@ def haar_isometry_batch(rows: int, cols: int, count: int, rng: np.random.Generat
     return _phase_fix(q, r)
 
 
-def _herk(w: np.ndarray) -> np.ndarray:
-    """Hermitian product w* w, via the half-cost BLAS rank-k update when
-    worthwhile.  Passing the transposed view of a C-contiguous array gives
-    zherk a Fortran layout without copying; it then returns the upper
-    triangle of conj(w* w)."""
-    if _blas is None or w.shape[1] <= 512:
-        return w.conj().T @ w
+#: Side of the square blocks in which `_mirror_lower` copies a triangle.
+_MIRROR_BLOCK = 256
+
+
+def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
+    """Hermitian product w* w, or w w* with `outer`, via the half-cost BLAS
+    rank-k update when the product is more than 512 wide.  Passing the
+    transposed view of a C-contiguous array gives zherk a Fortran layout
+    without copying; it returns the upper triangle of the conjugate product
+    in Fortran order, which read through ``.T`` is the lower triangle of the
+    product in C order.  `_mirror_lower` then fills the upper triangle."""
+    if (w.shape[0] if outer else w.shape[1]) <= 512:
+        return w @ w.conj().T if outer else w.conj().T @ w
     w = np.ascontiguousarray(w)
-    c = _blas.zherk(1.0, w.T, trans=0, lower=0)
-    return np.conj(np.triu(c)) + np.triu(c, 1).T
+    g = _blas.zherk(1.0, w.T, trans=2 if outer else 0, lower=0).T
+    _mirror_lower(g)
+    return g
+
+
+def _mirror_lower(g: np.ndarray) -> None:
+    """Copy the conjugate transpose of the strict lower triangle of square g
+    into its upper triangle, in place, one cache-sized block at a time."""
+    dim = g.shape[0]
+    for i0 in range(0, dim, _MIRROR_BLOCK):
+        i1 = min(i0 + _MIRROR_BLOCK, dim)
+        block = g[i0:i1, i0:i1]
+        upper = np.triu_indices(i1 - i0, 1)
+        block[upper] = block.T[upper].conj()
+        for j0 in range(i1, dim, _MIRROR_BLOCK):
+            j1 = min(j0 + _MIRROR_BLOCK, dim)
+            g[i0:i1, j0:j1] = g[j0:j1, i0:i1].T.conj()
 
 
 def _herm_traces_34(g: np.ndarray) -> tuple[float, float]:
     """(tr g^3, tr g^4) for Hermitian g: real symmetric g squares as g^T g,
     which numpy hands to syrk; large complex g takes a single triangular
-    update."""
+    update L, the lower triangle of g^2 with zeros above it, and reads both
+    traces off dot products with L, counting the off-diagonal half twice."""
     if np.isrealobj(g):
         g2 = g.T @ g
         return float(np.vdot(g2, g)), float(np.vdot(g2, g2))
-    if _blas is None or g.shape[0] <= 512:
+    if g.shape[0] <= 512:
         g2 = g @ g
         tr3 = float(np.sum(g2 * g.T).real)
         tr4 = float(np.vdot(g2, g2).real)
         return tr3, tr4
     g = np.ascontiguousarray(g)
-    c2 = _blas.zherk(1.0, g.T, trans=0, lower=0)  # conj(g^2), upper triangle
-    s_all = np.einsum("ij,ij->", c2.real, g.real) - np.einsum("ij,ij->", c2.imag, g.imag)
-    s_diag = float((c2.diagonal().real * g.diagonal().real).sum())
-    tr3 = 2.0 * float(s_all) - s_diag
-    a_all = np.einsum("ij,ij->", c2.real, c2.real) + np.einsum("ij,ij->", c2.imag, c2.imag)
-    a_diag = float((np.abs(c2.diagonal()) ** 2).sum())
-    tr4 = 2.0 * float(a_all) - a_diag
+    low = _blas.zherk(1.0, g.T, trans=0, lower=0).T
+    d, d2 = g.diagonal().real, low.diagonal().real
+    tr3 = 2.0 * float(np.vdot(g, low).real) - float(d @ d2)
+    tr4 = 2.0 * float(np.vdot(low, low).real) - float(d2 @ d2)
     return tr3, tr4
 
 
@@ -288,16 +304,17 @@ class FactoredDensityMatrix:
         return self.largest_eigenvalue_info()[0]
 
     def largest_eigenvalue_info(self) -> tuple[float, int, bool]:
-        """(lambda_1, power iterations, converged).  Read off the full
-        spectrum (0 iterations, converged) when it is known or the Gram
-        matrix is at most 512 wide; otherwise power iteration from the Bell
-        overlap."""
+        """(lambda_1, Lanczos steps, converged).  Read off the full
+        spectrum (0 steps, converged) when it is known or the Gram matrix is
+        at most 512 wide; otherwise Lanczos from the Bell overlap, which
+        counts as converged once its top Ritz value moves by at most 1e-12
+        relative between steps, within 120 steps."""
         if self._eigs is not None or self.gram.shape[0] <= 512:
             return float(self.eigenvalues()[0]), 0, True
         v0 = self.bell_overlap
         if v0 is None or float(np.linalg.norm(v0)) < 1e-12:
             v0 = self.gram.sum(axis=1)
-        return _power_lambda1(self.gram, v0)
+        return _lanczos_lambda1(self.gram, v0)
 
     def entropy(self) -> float:
         return entropy_of(self.eigenvalues())
@@ -355,31 +372,44 @@ def _unrotate_rows(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _power_lambda1(
+def _lanczos_lambda1(
     g: np.ndarray, v0: np.ndarray, max_iter: int = 120, rtol: float = 1e-12
 ) -> tuple[float, int, bool]:
-    """Largest eigenvalue of Hermitian PSD g by power iteration with the
-    Rayleigh quotient, with the iterations taken and whether successive
-    quotients met `rtol`.  The quotient increases toward lambda_1 from inside
-    the spectrum, so an early stop still returns a usable spectral-edge
-    estimate when the top eigenvalues cluster."""
-    v = np.asarray(v0, dtype=np.result_type(g, v0))
+    """Largest eigenvalue of Hermitian g by Lanczos from v0 (in g's field),
+    with the steps taken and whether the top Ritz value met `rtol`.
+
+    Each step reorthogonalizes against the whole basis by classical
+    Gram-Schmidt, applied twice, and takes the top eigenvalue of the
+    tridiagonal matrix; the solver stops once that value moves by at most
+    `rtol` relative between steps, or when the Krylov space is invariant.
+    The top Ritz value increases toward lambda_1 from inside the spectrum, so
+    a stop at `max_iter` still returns a usable spectral-edge estimate."""
+    v = np.asarray(v0, dtype=g.dtype)
     norm = float(np.linalg.norm(v))
     if norm == 0:
         raise ValueError("zero starting vector")
+    dim = g.shape[0]
+    steps = min(max_iter, dim)
+    basis = np.empty((steps, dim), dtype=g.dtype)
+    alpha, beta = np.empty(steps), np.empty(steps)
     v = v / norm
-    rayleigh = 0.0
-    for it in range(1, max_iter + 1):
+    top = 0.0
+    for j in range(steps):
+        basis[j] = v
         w = g @ v
-        new_rayleigh = float(np.vdot(v, w).real)
-        scale = float(np.linalg.norm(w))
-        if scale == 0:
-            return 0.0, it, True
-        v = w / scale
-        if abs(new_rayleigh - rayleigh) <= rtol * max(abs(new_rayleigh), 1e-300):
-            return new_rayleigh, it, True
-        rayleigh = new_rayleigh
-    return rayleigh, max_iter, False
+        alpha[j] = np.vdot(v, w).real
+        done = basis[: j + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w.conj()).conj()
+        new_top = float(
+            eigh_tridiagonal(alpha[: j + 1], beta[:j], eigvals_only=True, select="i", select_range=(j, j))[0]
+        )
+        beta[j] = np.linalg.norm(w)
+        if abs(new_top - top) <= rtol * max(abs(new_top), 1e-300) or beta[j] == 0 or j + 1 == dim:
+            return new_top, j + 1, True
+        top = new_top
+        v = w / beta[j]
+    return top, steps, False
 
 
 def entropy_of(eigenvalues: Iterable[float]) -> float:
@@ -490,7 +520,7 @@ def _gram_of_factor(n: int, k: int, w: np.ndarray):
         diag = w.reshape(n, n, k * k)[np.arange(n), np.arange(n), :]
         overlap = diag.sum(axis=0).conj() / math.sqrt(n)
         return gram, overlap, "ancilla"
-    gram = w @ w.T if real else _herk(w.conj().T)  # Z itself: the output side is the smaller one
+    gram = w @ w.T if real else _herk(w, outer=True)  # Z itself: the output side is the smaller one
     return gram, None, "output"
 
 
@@ -693,8 +723,10 @@ def run_ensemble(
     conjugate flavor, none for the independent flavor.  Entropy is computed
     only on the full-spectrum path (small spectral carrier, or
     `full_spectrum=True`).  The trace route instead records, per trial,
-    `lambda1_iters` and `lambda1_converged` of its power iteration (0 and
-    True when lambda_1 comes from a full eigensolve).  Trial t draws from
+    the Lanczos steps behind lambda_1 (`lambda1_iters`, at most 120) and
+    whether its top Ritz value settled to 1e-12 relative between steps
+    (`lambda1_converged`); they are 0 and True when lambda_1 comes from a
+    full eigensolve.  Trial t draws from
     ``default_rng([seed, t])``, so the result does not depend on `threads`.
     """
     if trials < 1:

@@ -306,31 +306,46 @@ def test_pinched_output_side_matches_dense():
 
 
 def test_trace_powers_match_eigenvalues():
-    z = product_output(conjugate_spec(6, 4), 5)
-    ev = z.eigenvalues()
-    tp = z.trace_powers(4)
-    for p in range(1, 5):
-        assert tp[p - 1] == pytest.approx(float(np.sum(ev**p)), rel=1e-12)
+    # the independent spec's 576-wide Gram takes the complex triangular
+    # update for tr Z^3 and tr Z^4
+    for spec, seed in ((conjugate_spec(6, 4), 5), (independent_spec(24, 24), 8)):
+        z = product_output(spec, seed)
+        ev = z.eigenvalues()
+        tp = z.trace_powers(4)
+        for p in range(1, 5):
+            assert tp[p - 1] == pytest.approx(float(np.sum(ev**p)), rel=1e-12)
 
 
-def test_power_iteration_matches_dense_top():
+@pytest.mark.parametrize("n, k", [(24, 24), (24, 32)])
+def test_herk_above_cutoff_is_exactly_hermitian(n, k):
+    # both products are wider than 512, so both take zherk and the mirrored
+    # triangle
+    w = product_output(independent_spec(n, k), 8, keep_factor=True).factor
+    for outer, expected in ((False, w.conj().T @ w), (True, w @ w.conj().T)):
+        g = montecarlo._herk(w, outer=outer)
+        assert g.shape[0] > 512
+        assert np.array_equal(g, g.conj().T)
+        assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_lanczos_matches_dense_top():
     rng = np.random.default_rng(2)
     basis, _ = np.linalg.qr(rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600)))
     spectrum = np.concatenate([[2.0], rng.uniform(0.0, 1.0, 599)])
     g = (basis * spectrum) @ basis.conj().T
-    top, iters, converged = montecarlo._power_lambda1(g, g.sum(axis=1))
+    top, iters, converged = montecarlo._lanczos_lambda1(g, g.sum(axis=1))
     assert top == pytest.approx(2.0, rel=1e-10)
     assert converged and iters < 120
 
 
-def test_power_iteration_reports_no_convergence_on_clustered_top():
+def test_lanczos_reports_no_convergence_on_clustered_top():
     # two top eigenvalues 1e-4 apart: 10 steps cannot separate them, and the
-    # solver says so instead of passing the quotient off as converged
+    # solver says so instead of passing the Ritz value off as converged
     rng = np.random.default_rng(4)
     basis, _ = np.linalg.qr(rng.standard_normal((300, 300)))
     spectrum = np.concatenate([[1.0, 1.0 - 1e-4], rng.uniform(0.0, 0.5, 298)])
     g = (basis * spectrum) @ basis.T
-    top, iters, converged = montecarlo._power_lambda1(g, g.sum(axis=1), max_iter=10)
+    top, iters, converged = montecarlo._lanczos_lambda1(g, g.sum(axis=1), max_iter=10)
     assert not converged and iters == 10
     assert 0.5 < top <= 1.0 + 1e-12
 
@@ -428,16 +443,21 @@ def test_trace_route_agrees_with_full_spectrum():
         assert np.allclose(full.per_trial[name], fast.per_trial[name], rtol=1e-9)
 
 
-def test_trace_route_reports_power_iteration():
-    # a 576-wide Gram takes the power iteration; each trial says how many
+@pytest.mark.parametrize(
+    "spec, trials",
+    [(conjugate_spec(24, 24), 2), (independent_spec(24, 24), 3), (independent_spec(24, 32), 3)],
+    ids=["conjugate-24-24", "independent-24-24", "independent-24-32"],
+)
+def test_trace_route_reports_lanczos(spec, trials):
+    # a 576-wide Gram takes the Lanczos solver; each trial says how many
     # steps it took and whether it converged, and lambda1 agrees with the
-    # full eigensolve
-    spec = conjugate_spec(24, 24)
-    fast = run_ensemble(spec, 2, 8, full_spectrum=False)
-    full = run_ensemble(spec, 2, 8, full_spectrum=True)
+    # full eigensolve, also where the independent flavor's top eigenvalues
+    # cluster at the edge of the bulk
+    fast = run_ensemble(spec, trials, 8, full_spectrum=False)
+    full = run_ensemble(spec, trials, 8, full_spectrum=True)
     assert np.all(fast.per_trial["lambda1_converged"])
     assert np.all((fast.per_trial["lambda1_iters"] >= 1) & (fast.per_trial["lambda1_iters"] < 120))
-    assert np.allclose(fast.per_trial["lambda1"], full.per_trial["lambda1"], rtol=1e-9)
+    assert np.allclose(fast.per_trial["lambda1"], full.per_trial["lambda1"], rtol=1e-9, atol=0)
     assert "lambda1_iters" not in full.per_trial
 
 
