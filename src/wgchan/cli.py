@@ -6,12 +6,15 @@ they are produced, written by ``csv.writer``) or strict JSON (one document
 with config, rows, schema_version; NaN and infinities become null).
 Floats are printed with 17 significant digits so they round-trip exactly.
 Exit codes: 0 success, 1 reference-table mismatch, 2 invalid input, 3
-strict-mode statistical failure.
+strict-mode statistical failure.  ``compare --strict`` gates on the exact
+column only, so it refuses (exit 2) a run in which some order up to
+``--p-max`` has no exact value.
 
 Seeding: a command with seed S runs trial t on the stream
-``numpy.random.default_rng([S, t])`` (ensemble commands) or on the single
-sequential stream ``default_rng(S)`` (batched moment estimates), so adding
-trials extends a sweep without reshuffling earlier trials.
+``numpy.random.default_rng([S, t])`` (ensemble commands) or as the t-th
+output drawn from the single sequential stream ``default_rng(S)`` (batched
+moment estimates), so adding trials extends a sweep without reshuffling
+earlier trials.
 """
 
 from __future__ import annotations
@@ -319,6 +322,12 @@ def cmd_compare(args) -> int:
         raise CliError(f"pinched comparison is defined at m = n, got m={spec.m} with n={spec.n}")
     if args.strict and args.trials < 2:
         raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
+    exacts = [_exact_moment(spec, p, args.pinched) for p in range(1, args.p_max + 1)]
+    if args.strict and None in exacts:
+        raise CliError(
+            f"--strict gates on exact values, and order p={exacts.index(None) + 1} has none "
+            f"for the {spec.flavor} flavor at n={spec.n}, k={spec.k}, m={spec.m}"
+        )
     gates = []
     with _writer(args, COMPARE_COLUMNS, config) as writer:
         ensemble = montecarlo.moment_ensemble(
@@ -326,18 +335,9 @@ def cmd_compare(args) -> int:
         )
         c = Fraction(spec.k, spec.n)
         regime = RegimeParams(c=c, d=Fraction(1), b=Fraction(spec.m, spec.n))
-        for p in range(1, args.p_max + 1):
+        for p, exact in enumerate(exacts, start=1):
             mc_mean = ensemble.mean(p, pinched=args.pinched) * args.rescale
             mc_stderr = ensemble.stderr(p, pinched=args.pinched) * args.rescale
-            exact = None
-            if spec.flavor == "conjugate":
-                try:
-                    if args.pinched:
-                        exact = moments.exact_moment_pinched(p, spec.n, spec.k)
-                    else:
-                        exact = moments.exact_moment_conjugate(p, spec.n, spec.k, spec.m)
-                except ValueError:
-                    exact = None
             theory = _theory_moment(spec, regime, p, args.pinched)
             z_exact = _z(mc_mean, mc_stderr, float(exact)) if exact is not None else None
             z_theory = _z(mc_mean, mc_stderr, theory) if theory is not None else None
@@ -352,9 +352,8 @@ def cmd_compare(args) -> int:
                     "z_theory": z_theory,
                 }
             )
-            gate = z_exact if z_exact is not None else z_theory
-            if gate is not None:
-                gates.append(abs(gate))
+            if z_exact is not None:
+                gates.append(abs(z_exact))
     # a NaN gate compares False with everything, so it fails here
     failed = [g for g in gates if not g <= args.z_threshold]
     if args.strict and failed:
@@ -362,6 +361,19 @@ def cmd_compare(args) -> int:
         print(f"strict mode: worst |z| = {worst:.3g} > {args.z_threshold}", file=sys.stderr)
         return 3
     return 0
+
+
+def _exact_moment(spec: ChannelSpec, p: int, pinched: bool) -> Fraction | None:
+    """Exact E tr(Z^p) (or of QZQ), or None where no exact sum applies: the
+    independent flavor, or an order the conjugate sums do not accept."""
+    if spec.flavor != "conjugate":
+        return None
+    try:
+        if pinched:
+            return moments.exact_moment_pinched(p, spec.n, spec.k)
+        return moments.exact_moment_conjugate(p, spec.n, spec.k, spec.m)
+    except ValueError:
+        return None
 
 
 def _theory_moment(spec: ChannelSpec, regime: RegimeParams, p: int, pinched: bool) -> float | None:

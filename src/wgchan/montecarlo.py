@@ -17,6 +17,12 @@ by block straight from V and works in real arithmetic throughout: its
 and W' in that real basis.  Spectra, trace powers, pinching and
 ``to_dense()`` do not depend on the basis: e = U_n* e, and ``to_dense()``
 undoes U_n.  The independent flavor has no such symmetry and stays complex.
+
+One set of builders serves a single output and a batch of them: the factor,
+Gram, pinching and trace-power helpers act on the last two axes and carry
+any leading trial axis along.  `product_output` calls them on one draw;
+`moment_ensemble` calls them on a stack of draws taken in the same order
+from one stream, so its conjugate flavor also runs in the real basis.
 """
 
 from __future__ import annotations
@@ -66,37 +72,22 @@ def _phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def sample_haar(dim: int, seed) -> np.ndarray:
-    """One Haar-distributed unitary: complex Ginibre, QR, then the diagonal
-    phase correction that makes the triangular factor positive on the
-    diagonal.  Plain QR without the correction is *not* Haar."""
+    """One Haar-distributed unitary: a square `haar_isometry`."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = _as_rng(seed)
-    g = _ginibre(rng, (dim, dim))
-    q, r = np.linalg.qr(g)
-    return _phase_fix(q, r)
+    return haar_isometry(dim, dim, _as_rng(seed))
 
 
-def sample_haar_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of `count` Haar unitaries drawn sequentially from one stream."""
-    g = _ginibre(rng, (count, dim, dim))
-    q, r = np.linalg.qr(g)
-    return _phase_fix(q, r)
-
-
-def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Haar isometry: distributed as the first `cols` columns of a Haar
-    unitary of size `rows`."""
+    unitary of size `rows`.  Complex Ginibre, QR, then the diagonal phase
+    correction that makes the triangular factor positive on the diagonal;
+    plain QR without the correction is *not* Haar.  With `count`, a stack of
+    that many drawn in turn from `rng`, equal to `count` separate calls."""
     if cols > rows:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    g = _ginibre(rng, (rows, cols))
-    q, r = np.linalg.qr(g, mode="reduced")
-    return _phase_fix(q, r)
-
-
-def haar_isometry_batch(rows: int, cols: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    g = _ginibre(rng, (count, rows, cols))
-    q, r = np.linalg.qr(g, mode="reduced")
+    shape = (rows, cols) if count is None else (count, rows, cols)
+    q, r = np.linalg.qr(_ginibre(rng, shape), mode="reduced")
     return _phase_fix(q, r)
 
 
@@ -105,14 +96,16 @@ _MIRROR_BLOCK = 256
 
 
 def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
-    """Hermitian product w* w, or w w* with `outer`, via the half-cost BLAS
-    rank-k update when the product is more than 512 wide.  Passing the
-    transposed view of a C-contiguous array gives zherk a Fortran layout
-    without copying; it returns the upper triangle of the conjugate product
-    in Fortran order, which read through ``.T`` is the lower triangle of the
-    product in C order.  `_mirror_lower` then fills the upper triangle."""
-    if (w.shape[0] if outer else w.shape[1]) <= 512:
-        return w @ w.conj().T if outer else w.conj().T @ w
+    """Hermitian product w* w, or w w* with `outer`, over the last two axes.
+    A single product more than 512 wide takes the half-cost BLAS rank-k
+    update.  Passing the transposed view of a C-contiguous array gives zherk
+    a Fortran layout without copying; it returns the upper triangle of the
+    conjugate product in Fortran order, which read through ``.T`` is the
+    lower triangle of the product in C order.  `_mirror_lower` then fills the
+    upper triangle."""
+    if w.ndim > 2 or (w.shape[0] if outer else w.shape[1]) <= 512:
+        wh = w.conj().swapaxes(-1, -2)
+        return w @ wh if outer else wh @ w
     w = np.ascontiguousarray(w)
     g = _blas.zherk(1.0, w.T, trans=2 if outer else 0, lower=0).T
     _mirror_lower(g)
@@ -133,25 +126,61 @@ def _mirror_lower(g: np.ndarray) -> None:
             g[i0:i1, j0:j1] = g[j0:j1, i0:i1].T.conj()
 
 
-def _herm_traces_34(g: np.ndarray) -> tuple[float, float]:
-    """(tr g^3, tr g^4) for Hermitian g: real symmetric g squares as g^T g,
-    which numpy hands to syrk; large complex g takes a single triangular
-    update L, the lower triangle of g^2 with zeros above it, and reads both
-    traces off dot products with L, counting the off-diagonal half twice."""
+def _vdot(x: np.ndarray, y: np.ndarray, axes: int):
+    """sum conj(x) y over the last `axes` axes: numpy's BLAS vdot when those
+    are all the axes of both, one einsum per leading index otherwise."""
+    if x.ndim == y.ndim == axes:
+        return np.vdot(x, y)
+    sub = "ab"[:axes]
+    return np.einsum(f"...{sub},...{sub}->...", x.conj(), y)
+
+
+def _herm_traces_34(g: np.ndarray):
+    """(tr g^3, tr g^4) for Hermitian g over the last two axes: real
+    symmetric g squares as g^T g, which numpy hands to syrk; a single
+    complex g more than 512 wide takes one triangular update L, the lower
+    triangle of g^2 with zeros above it, and reads both traces off dot
+    products with L, counting the off-diagonal half twice."""
     if np.isrealobj(g):
-        g2 = g.T @ g
-        return float(np.vdot(g2, g)), float(np.vdot(g2, g2))
-    if g.shape[0] <= 512:
+        g2 = g.swapaxes(-1, -2) @ g
+        return _vdot(g2, g, 2), _vdot(g2, g2, 2)
+    if g.ndim > 2 or g.shape[0] <= 512:
         g2 = g @ g
-        tr3 = float(np.sum(g2 * g.T).real)
-        tr4 = float(np.vdot(g2, g2).real)
-        return tr3, tr4
+        tr3 = np.sum(g2 * g.swapaxes(-1, -2), axis=(-2, -1)).real
+        return tr3, _vdot(g2, g2, 2).real
     g = np.ascontiguousarray(g)
     low = _blas.zherk(1.0, g.T, trans=0, lower=0).T
     d, d2 = g.diagonal().real, low.diagonal().real
     tr3 = 2.0 * float(np.vdot(g, low).real) - float(d @ d2)
     tr4 = 2.0 * float(np.vdot(low, low).real) - float(d2 @ d2)
     return tr3, tr4
+
+
+def _trace_powers(gram: np.ndarray, p_max: int) -> np.ndarray:
+    """tr G^p for p = 1..p_max <= 4 of Hermitian G on the last two axes of
+    `gram`, as an array of shape ``gram.shape[:-2] + (p_max,)``."""
+    out = [np.trace(gram, axis1=-2, axis2=-1).real]
+    if p_max >= 2:
+        out.append(_vdot(gram, gram, 2).real)
+    if p_max >= 3:
+        out.extend(_herm_traces_34(gram))
+    return np.stack(out[:p_max], axis=-1)
+
+
+def _pinch(gram: np.ndarray, overlap: np.ndarray | None, e: np.ndarray) -> np.ndarray:
+    """Gram matrix of Q Z Q, Q = I - ee*, over the last two axes.  On the
+    ancilla side, where `overlap` is W* e, it is G - (W* e)(W* e)*; on the
+    output side (`overlap` None) `gram` is Z itself, compressed directly."""
+    if overlap is not None:
+        return gram - overlap[..., :, None] * overlap[..., None, :].conj()
+    ze = gram @ e
+    inner = _vdot(e, ze, 1)
+    return (
+        gram
+        - e[:, None] * ze[..., None, :].conj()
+        - ze[..., :, None] * e.conj()
+        + inner[..., None, None] * np.outer(e, e.conj())
+    )
 
 
 @dataclass(frozen=True)
@@ -289,16 +318,7 @@ class FactoredDensityMatrix:
         if p_max > 4:
             eigs = self.eigenvalues()
             return [float(np.sum(eigs**p)) for p in range(1, p_max + 1)]
-        g = self.gram
-        out = [float(np.trace(g).real)]
-        if p_max >= 2:
-            out.append(float(np.vdot(g, g).real))
-        if p_max >= 3:
-            tr3, tr4 = _herm_traces_34(g)
-            out.append(tr3)
-            if p_max >= 4:
-                out.append(tr4)
-        return out[:p_max]
+        return _trace_powers(self.gram, p_max).tolist()
 
     def largest_eigenvalue(self) -> float:
         return self.largest_eigenvalue_info()[0]
@@ -321,31 +341,15 @@ class FactoredDensityMatrix:
 
     def pinched(self) -> "FactoredDensityMatrix":
         """Compression Q Z Q by Q = I - ee* (Bell projector removed)."""
-        if self.side == "output":
-            z = self.gram
-            e = self._bell()
-            ze = z @ e
-            inner = np.vdot(e, ze)
-            gram = (
-                z
-                - np.outer(e, ze.conj())
-                - np.outer(ze, e.conj())
-                + inner * np.outer(e, e.conj())
-            )
-            return FactoredDensityMatrix(self.n, self.k, gram, None, None, "output", self.real_basis)
-        if self.bell_overlap is None:
-            raise ValueError("no Bell overlap stored; cannot pinch")
         g = self.bell_overlap
-        gram = self.gram - np.outer(g, g.conj())
-        factor = None
-        if self.factor is not None:
-            factor = self.factor - np.outer(self._bell(), g.conj())
+        if self.side == "ancilla" and g is None:
+            raise ValueError("no Bell overlap stored; cannot pinch")
+        e = _basis_bell(self.n, self.real_basis)
+        gram = _pinch(self.gram, g, e)
+        if self.side == "output":
+            return FactoredDensityMatrix(self.n, self.k, gram, None, None, "output", self.real_basis)
+        factor = None if self.factor is None else self.factor - np.outer(e, g.conj())
         return FactoredDensityMatrix(self.n, self.k, gram, np.zeros_like(g), factor, "ancilla", self.real_basis)
-
-    def _bell(self) -> np.ndarray:
-        """The Bell vector e, real in the real basis (U_n* e = e)."""
-        e = bell_vector(self.n)
-        return e.real if self.real_basis else e
 
     def to_dense(self) -> DensityMatrix:
         if self.dim > DENSE_DIM_GUARD:
@@ -429,6 +433,12 @@ def bell_vector(n: int) -> np.ndarray:
     return e
 
 
+def _basis_bell(n: int, real_basis: bool) -> np.ndarray:
+    """The Bell vector e, real in the real basis (U_n* e = e)."""
+    e = bell_vector(n)
+    return e.real if real_basis else e
+
+
 def bell_state(m: int) -> DensityMatrix:
     """Rank-one projector onto the maximally entangled vector, dimension m^2."""
     if m < 1:
@@ -459,10 +469,11 @@ def apply_channel(spec: ChannelSpec, unitary: np.ndarray, state) -> DensityMatri
     return DensityMatrix(out, check=False)
 
 
-def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator) -> np.ndarray:
+def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """nk x m isometry V = U (I_m (x) |0_l>); sampled directly as a Haar
-    isometry, which has the same law as those columns of a Haar unitary."""
-    return haar_isometry(spec.n * spec.k, spec.m, rng)
+    isometry, which has the same law as those columns of a Haar unitary.
+    With `count`, a stack of that many drawn in turn."""
+    return haar_isometry(spec.n * spec.k, spec.m, rng, count)
 
 
 #: Complex entries per row block of the real factor build.
@@ -470,18 +481,21 @@ _BLOCK_ENTRIES = 1 << 20
 
 
 def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray) -> np.ndarray:
-    """W[(a, b), (k1, k2)] = sum_i V_a[(a, k1), i] V_b[(b, k2), i] / sqrt m."""
+    """W[(a, b), (k1, k2)] = sum_i V_a[(a, k1), i] V_b[(b, k2), i] / sqrt m,
+    for each leading index of the isometry stacks."""
     n, k, m = spec.n, spec.k, spec.m
-    mix = v_a @ v_b.T
-    w = mix.reshape(n, k, n, k).transpose(0, 2, 1, 3).reshape(n * n, k * k)
+    lead = v_a.shape[:-2]
+    mix = v_a @ v_b.swapaxes(-1, -2)
+    w = mix.reshape(lead + (n, k, n, k)).swapaxes(-3, -2).reshape(lead + (n * n, k * k))
     w /= math.sqrt(m)
     return w
 
 
 def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
-    """W' = U_n* W U_k for the conjugate flavor, written into one float64
-    array one row block of P = V V* at a time; neither the complex W nor the
-    full P is ever formed.
+    """W' = U_n* W U_k for the conjugate flavor (for each leading index of
+    the isometry stack `v`), written into one float64 array one row block
+    of P = V V* at a time; neither the complex W nor the full P is ever
+    formed.
 
     Row (a, b) of W is the k x k block M = P[(a, .), (b, .)] / sqrt m, and
     row (a, b) of W U_k is X = M U_k.  Since conj(W) = S_n W S_k, row (b, a)
@@ -491,19 +505,20 @@ def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
     Re Y above the diagonal of Y, Im Y below it and Re Y / sqrt 2 on it.
     """
     n, k, m = spec.n, spec.k, spec.m
+    lead = v.shape[:-2]
     a_minus_b = np.subtract.outer(np.arange(n), np.arange(n))
     scale = np.where(a_minus_b < 0, 1.0, np.where(a_minus_b > 0, 1j, math.sqrt(0.5))) / math.sqrt(m)
     upper = np.subtract.outer(np.arange(k), np.arange(k)) <= 0
     diag = np.arange(k)
-    w = np.empty((n * n, k * k))
-    vh = v.conj().T
+    w = np.empty(lead + (n * n, k * k))
+    vh = v.conj().swapaxes(-1, -2)
     step = max(1, _BLOCK_ENTRIES // (n * k * k))
     for a0 in range(0, n, step):
         a1 = min(a0 + step, n)
-        rows = (v[a0 * k : a1 * k] @ vh).reshape(a1 - a0, k, n, k).transpose(0, 2, 1, 3)
-        x = rows * scale[a0:a1, :, None, None]  # [a, b, c, d]
-        y = x + x.swapaxes(2, 3).conj()
-        out = w[a0 * n : a1 * n].reshape(a1 - a0, n, k, k)
+        rows = (v[..., a0 * k : a1 * k, :] @ vh).reshape(lead + (a1 - a0, k, n, k)).swapaxes(-3, -2)
+        x = rows * scale[a0:a1, :, None, None]  # [..., a, b, c, d]
+        y = x + x.swapaxes(-1, -2).conj()
+        out = w[..., a0 * n : a1 * n, :].reshape(lead + (a1 - a0, n, k, k))
         np.copyto(out, y.real, where=upper)
         np.copyto(out, y.imag, where=~upper)
         out[..., diag, diag] *= math.sqrt(0.5)
@@ -511,16 +526,18 @@ def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
 
 
 def _gram_of_factor(n: int, k: int, w: np.ndarray):
-    """(gram, Bell overlap, side) of the factor: W* W and W* e on the ancilla
-    side (k <= n), W W* and no overlap on the output side.  A real factor
-    takes numpy's real products, a complex one the Hermitian rank-k update."""
+    """(gram, Bell overlap, side) of the factor, for each leading index: W* W
+    and W* e on the ancilla side (k <= n), W W* and no overlap on the output
+    side.  A real factor takes numpy's real products, a complex one the
+    Hermitian rank-k update."""
     real = np.isrealobj(w)
+    wt = w.swapaxes(-1, -2)
     if k <= n:
-        gram = w.T @ w if real else _herk(w)
-        diag = w.reshape(n, n, k * k)[np.arange(n), np.arange(n), :]
-        overlap = diag.sum(axis=0).conj() / math.sqrt(n)
+        gram = wt @ w if real else _herk(w)
+        diag = w.reshape(w.shape[:-2] + (n, n, k * k))[..., np.arange(n), np.arange(n), :]
+        overlap = diag.sum(axis=-2).conj() / math.sqrt(n)
         return gram, overlap, "ancilla"
-    gram = w @ w.T if real else _herk(w, outer=True)  # Z itself: the output side is the smaller one
+    gram = w @ wt if real else _herk(w, outer=True)  # Z itself: the output side is the smaller one
     return gram, None, "output"
 
 
@@ -769,76 +786,46 @@ class MomentEnsemble:
         return self.traces
 
 
+#: Trials per batch of `moment_ensemble`, and its cap on the entries of one
+#: batch's factor or isometry stack, which keeps a batch's temporaries in
+#: cache.  Neither changes a value: each trial's rows are computed on their own.
+_MOMENT_BATCH = 2048
+_MOMENT_BATCH_ENTRIES = 1 << 17
+
+
 def moment_ensemble(
     spec: ChannelSpec,
     p_max: int,
     trials: int,
     seed: int,
     pinched: bool = False,
-    chunk: int = 2048,
 ) -> MomentEnsemble:
     """Monte Carlo estimates of E tr(Z^p) for p = 1..p_max, batched over
-    trials.  One sequential stream: extending `trials` extends the ensemble.
+    trials through the builders of `product_output`, so the conjugate flavor
+    runs in the real basis.  Trial t is the t-th `product_output` drawn from
+    the one sequential stream ``default_rng(seed)``: one isometry per trial
+    for the conjugate flavor, two for the independent one.  Extending
+    `trials` therefore extends the ensemble.
     """
     if p_max < 1 or p_max > 4:
         raise ValueError("p_max must be in 1..4")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k, m = spec.n, spec.k, spec.m
-    nk, k2 = n * k, k * k
-    budget = max(n * n * k2, nk * m, 1)
-    size_cap = max(1, min(chunk, int(3.0e7 // budget)))
+    real_basis = spec.flavor == "conjugate"
+    draws = 1 if real_basis else 2
+    size_cap = max(1, min(_MOMENT_BATCH, _MOMENT_BATCH_ENTRIES // max(n * n * k * k, draws * n * k * m)))
+    e = _basis_bell(n, real_basis)
 
     rng = np.random.default_rng(seed)
     traces = np.empty((trials, p_max))
     pinched_arr = np.empty((trials, p_max)) if pinched else None
-    done = 0
-    while done < trials:
-        size = min(size_cap, trials - done)
-        v_a = haar_isometry_batch(nk, m, size, rng)
-        if spec.flavor == "conjugate":
-            v_b = v_a.conj()
-        else:
-            v_b = haar_isometry_batch(nk, m, size, rng)
-        a1 = v_a.transpose(0, 2, 1).reshape(size, m, nk)
-        d1 = v_b.transpose(0, 2, 1).reshape(size, m, nk)
-        mix = np.einsum("tix,tiy->txy", a1, d1, optimize=True)
-        w = mix.reshape(size, n, k, n, k).transpose(0, 1, 3, 2, 4).reshape(size, n * n, k2)
-        w /= math.sqrt(m)
-        if k <= n:
-            gram = np.einsum("txa,txb->tab", w.conj(), w, optimize=True)
-        else:
-            gram = np.einsum("tax,tbx->tab", w, w.conj(), optimize=True)
-        traces[done : done + size] = _batched_trace_powers(gram, p_max)
+    for start in range(0, trials, size_cap):
+        size = min(size_cap, trials - start)
+        v = _stinespring_isometry(spec, rng, size * draws).reshape(size, draws, n * k, m)
+        w = _real_factor(spec, v[:, 0]) if real_basis else _complex_factor(spec, v[:, 0], v[:, 1])
+        gram, overlap, _ = _gram_of_factor(n, k, w)
+        traces[start : start + size] = _trace_powers(gram, p_max)
         if pinched:
-            if k <= n:
-                diag = w.reshape(size, n, n, k2)[:, np.arange(n), np.arange(n), :]
-                overlap = diag.sum(axis=1).conj() / math.sqrt(n)
-                gram_p = gram - overlap[:, :, None] * overlap.conj()[:, None, :]
-            else:
-                e = bell_vector(n)
-                ze = np.einsum("tab,b->ta", gram, e)
-                inner = np.einsum("a,ta->t", e.conj(), ze)
-                gram_p = (
-                    gram
-                    - e[None, :, None] * ze.conj()[:, None, :]
-                    - ze[:, :, None] * e.conj()[None, None, :]
-                    + inner[:, None, None] * np.outer(e, e.conj())[None, :, :]
-                )
-            pinched_arr[done : done + size] = _batched_trace_powers(gram_p, p_max)
-        done += size
+            pinched_arr[start : start + size] = _trace_powers(_pinch(gram, overlap, e), p_max)
     return MomentEnsemble(spec=spec, p_max=p_max, seed=seed, traces=traces, pinched_traces=pinched_arr)
-
-
-def _batched_trace_powers(gram: np.ndarray, p_max: int) -> np.ndarray:
-    size = gram.shape[0]
-    out = np.empty((size, p_max))
-    out[:, 0] = np.trace(gram, axis1=1, axis2=2).real
-    if p_max >= 2:
-        out[:, 1] = np.einsum("tab,tab->t", gram, gram.conj()).real
-    if p_max >= 3:
-        g2 = np.einsum("tab,tbc->tac", gram, gram, optimize=True)
-        out[:, 2] = np.einsum("tab,tab->t", g2, gram.conj()).real
-        if p_max >= 4:
-            out[:, 3] = np.einsum("tab,tab->t", g2, g2.conj()).real
-    return out

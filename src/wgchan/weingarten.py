@@ -232,17 +232,15 @@ class McEstimate:
         return abs(self.mean - reference) / self.stderr
 
 
-def haar_moment_mc(
-    n: int,
-    tup: IndexTuple,
-    trials: int,
-    seed: int,
-    chunk: int = 8192,
-) -> McEstimate:
+#: Haar unitaries drawn per batch by `haar_moment_mc`; no value depends on it.
+_MC_BATCH = 8192
+
+
+def haar_moment_mc(n: int, tup: IndexTuple, trials: int, seed: int) -> McEstimate:
     """Monte Carlo oracle for `haar_moment`: averages the entry product over
     Haar samples.  Deterministic given the seed (one stream, sequential
     draws), so extending `trials` keeps the earlier samples unchanged."""
-    from .montecarlo import sample_haar_batch
+    from .montecarlo import haar_isometry
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -258,8 +256,8 @@ def haar_moment_mc(
     acc = np.empty(trials, dtype=complex)
     done = 0
     while done < trials:
-        size = min(chunk, trials - done)
-        u = sample_haar_batch(n, size, rng)
+        size = min(_MC_BATCH, trials - done)
+        u = haar_isometry(n, n, rng, size)
         vals = np.prod(u[:, rows_i, cols_j], axis=1) * np.prod(
             u[:, rows_ip, cols_jp].conj(), axis=1
         )

@@ -214,6 +214,26 @@ def test_compare_strict_fails_on_nan_gate(capsys, monkeypatch):
     assert "nan" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--flavor", "independent", "--n", "6", "--k", "3", "--p-max", "3",
+         "--trials", "2000", "--seed", "1", "--strict"],
+        # nk = 4 < 2p at p = 3: no exact value for the last order
+        ["compare", "--n", "2", "--k", "2", "--p-max", "3", "--trials", "2000", "--seed", "1", "--strict"],
+    ],
+)
+def test_compare_strict_refuses_orders_without_exact_value(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before refusing --strict")
+
+    monkeypatch.setattr(montecarlo, "moment_ensemble", never)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "exact" in err
+
+
 def test_compare_single_trial_json_is_strict(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -56,7 +56,7 @@ def test_sample_haar_deterministic():
 def test_sample_haar_entry_second_moment():
     # E |U11|^2 = 1/2 at dim 2
     rng = np.random.default_rng(1)
-    u = montecarlo.sample_haar_batch(2, 40_000, rng)
+    u = montecarlo.haar_isometry(2, 2, rng, 40_000)
     vals = np.abs(u[:, 0, 0]) ** 2
     z = (vals.mean() - 0.5) / (vals.std(ddof=1) / math.sqrt(len(vals)))
     assert abs(z) < 3.5
@@ -67,7 +67,7 @@ def test_haar_eigenangles_uniform_but_naive_qr_not():
     # without the phase fix concentrates them and fails the same chi-square
     dim, samples, bins = 8, 600, 24
     rng = np.random.default_rng(7)
-    fixed = montecarlo.sample_haar_batch(dim, samples, rng)
+    fixed = montecarlo.haar_isometry(dim, dim, rng, samples)
     fixed_angles = np.angle(np.linalg.eigvals(fixed)).ravel()
     rng2 = np.random.default_rng(7)
     naive_angles = np.concatenate(
@@ -80,7 +80,7 @@ def test_haar_eigenangles_uniform_but_naive_qr_not():
 
 def test_haar_entry_phase_uniform():
     rng = np.random.default_rng(3)
-    u = montecarlo.sample_haar_batch(3, 4_000, rng)
+    u = montecarlo.haar_isometry(3, 3, rng, 4_000)
     assert angle_chi2(np.angle(u[:, 0, 0])) < 49.7
 
 
@@ -471,10 +471,36 @@ def test_moment_ensemble_trace_normalization_and_determinism():
 
 
 def test_moment_ensemble_extension_keeps_prefix():
-    spec = conjugate_spec(3, 2)
-    short = moment_ensemble(spec, 2, 100, 13)
-    long = moment_ensemble(spec, 2, 150, 13)
-    assert np.array_equal(short.traces, long.traces[:100])
+    for spec, short_trials, long_trials in [
+        (conjugate_spec(3, 2), 100, 150),
+        (independent_spec(3, 2), 100, 150),
+        (independent_spec(3, 2), 2000, 2100),  # crosses the 2048-trial batch
+    ]:
+        short = moment_ensemble(spec, 2, short_trials, 13)
+        long = moment_ensemble(spec, 2, long_trials, 13)
+        assert np.array_equal(short.traces, long.traces[:short_trials])
+
+
+@pytest.mark.parametrize(
+    "spec, pinched",
+    [
+        (conjugate_spec(3, 2, 3), True),
+        (conjugate_spec(3, 5, 3), True),  # output side
+        (conjugate_spec(4, 3, 6), False),
+        (independent_spec(3, 2, 3), False),
+        (independent_spec(3, 5, 3), False),
+    ],
+)
+def test_moment_ensemble_rows_are_sequential_product_outputs(spec, pinched):
+    # one builder: trial t of the batch is the t-th product_output drawn from
+    # the ensemble's one stream
+    ens = moment_ensemble(spec, 4, 40, 21, pinched=pinched)
+    rng = np.random.default_rng(21)
+    for t in range(40):
+        z = product_output(spec, rng)
+        assert np.allclose(ens.traces[t], z.trace_powers(4), rtol=0, atol=1e-13)
+        if pinched:
+            assert np.allclose(ens.pinched_traces[t], z.pinched().trace_powers(4), rtol=0, atol=1e-13)
 
 
 def test_moment_ensemble_matches_product_output_statistics():
