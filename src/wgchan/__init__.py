@@ -10,11 +10,13 @@ from .perm import (
     compose,
     cycle_type,
     distance,
+    geodesics,
     identity,
     is_geodesic,
     length,
     make_gamma_delta,
     mobius,
+    non_crossing_partitions,
     transposition,
 )
 from .weingarten import (
@@ -70,7 +72,6 @@ from .freeprob import (
     mp_entropy_integral,
     mp_moment,
     naive_bound,
-    non_crossing_partitions,
     vn_entropy,
 )
 

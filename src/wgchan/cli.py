@@ -6,9 +6,10 @@ they are produced, written by ``csv.writer``) or strict JSON (one document
 with config, rows, schema_version; NaN and infinities become null).
 Floats are printed with 17 significant digits so they round-trip exactly.
 Exit codes: 0 success, 1 reference-table mismatch, 2 invalid input, 3
-strict-mode statistical failure.  ``compare --strict`` gates on the exact
-column only, so it refuses (exit 2) a run in which some order up to
-``--p-max`` has no exact value.
+strict-mode statistical failure.  Numeric arguments are checked before any
+output, so invalid input prints nothing to stdout and creates no --out
+file.  ``compare --strict`` gates on the exact column only, so it refuses
+(exit 2) a run in which some order up to ``--p-max`` has no exact value.
 
 Seeding: a command with seed S runs trial t on the stream
 ``numpy.random.default_rng([S, t])`` (ensemble commands) or as the t-th
@@ -262,6 +263,7 @@ def cmd_simulate(args) -> int:
         "bulk_m4",
     ]
     stat_cols = columns[2:]
+    montecarlo.ensemble_settings(spec, args.trials, args.scale, args.drop_largest)
     with _writer(args, columns, config) as writer:
         collected: dict[str, list[float]] = {}
         for t, stats in montecarlo.iter_trial_statistics(
@@ -322,6 +324,7 @@ def cmd_compare(args) -> int:
         raise CliError(f"pinched comparison is defined at m = n, got m={spec.m} with n={spec.n}")
     if args.strict and args.trials < 2:
         raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
+    montecarlo.validate_moment_args(args.p_max, args.trials)
     exacts = [_exact_moment(spec, p, args.pinched) for p in range(1, args.p_max + 1)]
     if args.strict and None in exacts:
         raise CliError(
@@ -423,6 +426,8 @@ def cmd_entropy(args) -> int:
     ]
     regime = RegimeParams(c=c, d=d, t=t)
     specs = [_spec_for_regime(n, c, d, t, "conjugate") for n in n_list]
+    for spec in specs:
+        montecarlo.ensemble_settings(spec, args.trials, full_spectrum=True)
     predictions = [freeprob.entropy_prediction(regime, spec.n, spec.k) for spec in specs]
     with _writer(args, columns, config) as writer:
         for spec, prediction in zip(specs, predictions):

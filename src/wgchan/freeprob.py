@@ -12,14 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .moments import RegimeParams, as_fraction
-
-#: Non-crossing partition enumeration cap; NC(12) has 208012 elements.
-DEFAULT_NC_CAP = 12
+from .perm import DEFAULT_NC_CAP, non_crossing_partitions
 
 
 @dataclass(frozen=True)
@@ -76,42 +74,6 @@ def mp_density(c: float, x: float) -> float:
     if x <= 0 or x < lo or x > hi:
         return 0.0
     return math.sqrt(max(4 * c - (x - 1 - c) ** 2, 0.0)) / (2 * math.pi * x)
-
-
-def non_crossing_partitions(p: int, cap: int = DEFAULT_NC_CAP) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All non-crossing partitions of {0, ..., p-1}.
-
-    Generated by choosing the block of the smallest element as a sparse
-    subset and recursing on the gaps it leaves, which cannot cross it.
-    """
-    if p > cap:
-        raise ValueError(f"p={p} exceeds the non-crossing enumeration cap {cap}")
-
-    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not points:
-            yield ()
-            return
-        first, rest = points[0], points[1:]
-        for mask in range(1 << len(rest)):
-            block = (first,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-            segments = []
-            prev = None
-            for idx, x in enumerate(rest):
-                if mask >> idx & 1:
-                    prev = None
-                    continue
-                if prev is None:
-                    segments.append([x])
-                else:
-                    segments[-1].append(x)
-                prev = x
-            partial: list[tuple[tuple[int, ...], ...]] = [()]
-            for seg in segments:
-                partial = [done + sub for done in partial for sub in rec(tuple(seg))]
-            for tail in partial:
-                yield (block,) + tail
-
-    return rec(tuple(range(p)))
 
 
 @lru_cache(maxsize=32)

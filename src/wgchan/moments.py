@@ -34,13 +34,12 @@ from .perm import (
     DEFAULT_ENUMERATION_CAP,
     CycleType,
     Permutation,
-    all_permutations,
     class_census,
     cycles_after,
+    geodesics,
     group_table,
     identity,
     index_of,
-    is_geodesic,
     make_gamma_delta,
     partitions,
 )
@@ -442,13 +441,16 @@ def minimize_S_pinched(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> Expone
 
 @lru_cache(maxsize=16)
 def _geodesic_set(p: int, which: str) -> frozenset[Permutation]:
+    """The geodesic interval between two block permutations of S_{2p},
+    named by `which`, from `perm.geodesics`: one non-crossing partition per
+    cycle of a^{-1} c, with no walk over S_{2p}."""
     gamma, delta, gtilde = make_gamma_delta(p)
     ends = {
         "delta->gtilde": (delta, gtilde),
         "delta->gamma": (delta, gamma),
         "id->delta": (identity(2 * p), delta),
     }[which]
-    return frozenset(b for b in all_permutations(2 * p) if is_geodesic(ends[0], b, ends[1]))
+    return geodesics(*ends)
 
 
 def reference_S2(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:

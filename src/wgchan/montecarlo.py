@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import eigh_tridiagonal
 
 #: Largest matrix dimension materialized densely (entries = this squared).
 DENSE_DIM_GUARD = 4096
@@ -95,19 +93,32 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator, count: int | N
 _MIRROR_BLOCK = 256
 
 
+def _zherk_lower(w: np.ndarray, outer: bool) -> np.ndarray:
+    """Lower triangle of w* w (w w* with `outer`) for one complex matrix,
+    zeros above it, from BLAS zherk.  Passing the transposed view of a
+    C-contiguous array gives zherk a Fortran layout without copying; it
+    returns the upper triangle of the conjugate product in Fortran order,
+    which read through ``.T`` is the lower triangle in C order.
+
+    scipy is imported here, at first use, and nowhere else in the package:
+    only a complex product more than 512 wide needs it, so every other path
+    starts without paying for the import.  Python's import lock makes the
+    first call safe from several threads at once."""
+    from scipy.linalg.blas import zherk
+
+    return zherk(1.0, np.ascontiguousarray(w).T, trans=2 if outer else 0, lower=0).T
+
+
 def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
     """Hermitian product w* w, or w w* with `outer`, over the last two axes.
     A single product more than 512 wide takes the half-cost BLAS rank-k
-    update.  Passing the transposed view of a C-contiguous array gives zherk
-    a Fortran layout without copying; it returns the upper triangle of the
-    conjugate product in Fortran order, which read through ``.T`` is the
-    lower triangle of the product in C order.  `_mirror_lower` then fills the
-    upper triangle."""
+    update of `_zherk_lower`, the only path that loads scipy, and
+    `_mirror_lower` then fills the upper triangle; every other product is a
+    numpy matmul."""
     if w.ndim > 2 or (w.shape[0] if outer else w.shape[1]) <= 512:
         wh = w.conj().swapaxes(-1, -2)
         return w @ wh if outer else wh @ w
-    w = np.ascontiguousarray(w)
-    g = _blas.zherk(1.0, w.T, trans=2 if outer else 0, lower=0).T
+    g = _zherk_lower(w, outer)
     _mirror_lower(g)
     return g
 
@@ -148,8 +159,7 @@ def _herm_traces_34(g: np.ndarray):
         g2 = g @ g
         tr3 = np.sum(g2 * g.swapaxes(-1, -2), axis=(-2, -1)).real
         return tr3, _vdot(g2, g2, 2).real
-    g = np.ascontiguousarray(g)
-    low = _blas.zherk(1.0, g.T, trans=0, lower=0).T
+    low = _zherk_lower(g, outer=False)
     d, d2 = g.diagonal().real, low.diagonal().real
     tr3 = 2.0 * float(np.vdot(g, low).real) - float(d @ d2)
     tr4 = 2.0 * float(np.vdot(low, low).real) - float(d2 @ d2)
@@ -384,8 +394,10 @@ def _lanczos_lambda1(
 
     Each step reorthogonalizes against the whole basis by classical
     Gram-Schmidt, applied twice, and takes the top eigenvalue of the
-    tridiagonal matrix; the solver stops once that value moves by at most
-    `rtol` relative between steps, or when the Krylov space is invariant.
+    tridiagonal matrix by numpy's dense `eigvalsh`: it is at most `max_iter`
+    wide, so this costs little next to one matvec.  The solver stops once
+    that value moves by at most `rtol` relative between steps, or when the
+    Krylov space is invariant.
     The top Ritz value increases toward lambda_1 from inside the spectrum, so
     a stop at `max_iter` still returns a usable spectral-edge estimate."""
     v = np.asarray(v0, dtype=g.dtype)
@@ -395,24 +407,24 @@ def _lanczos_lambda1(
     dim = g.shape[0]
     steps = min(max_iter, dim)
     basis = np.empty((steps, dim), dtype=g.dtype)
-    alpha, beta = np.empty(steps), np.empty(steps)
+    tri = np.zeros((steps, steps))
     v = v / norm
     top = 0.0
     for j in range(steps):
         basis[j] = v
         w = g @ v
-        alpha[j] = np.vdot(v, w).real
+        tri[j, j] = np.vdot(v, w).real
         done = basis[: j + 1]
         for _ in range(2):
             w -= done.T @ (done @ w.conj()).conj()
-        new_top = float(
-            eigh_tridiagonal(alpha[: j + 1], beta[:j], eigvals_only=True, select="i", select_range=(j, j))[0]
-        )
-        beta[j] = np.linalg.norm(w)
-        if abs(new_top - top) <= rtol * max(abs(new_top), 1e-300) or beta[j] == 0 or j + 1 == dim:
+        new_top = float(np.linalg.eigvalsh(tri[: j + 1, : j + 1])[-1])
+        beta = float(np.linalg.norm(w))
+        if abs(new_top - top) <= rtol * max(abs(new_top), 1e-300) or beta == 0 or j + 1 == dim:
             return new_top, j + 1, True
         top = new_top
-        v = w / beta[j]
+        if j + 1 < steps:
+            tri[j + 1, j] = tri[j, j + 1] = beta
+        v = w / beta
     return top, steps, False
 
 
@@ -677,8 +689,6 @@ def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
         stats["lambda1_iters"] = iters
         stats["lambda1_converged"] = converged
         top = [lam1] if drop_largest == 1 else []
-        if drop_largest == 2:
-            raise ValueError("drop_largest=2 requires the full-spectrum path")
         denom = support - drop_largest
         for p in range(1, 5):
             removed = sum(t**p for t in top)
@@ -687,13 +697,30 @@ def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
     return stats
 
 
-def _ensemble_defaults(spec: ChannelSpec, scale, drop_largest, full_spectrum):
+def ensemble_settings(
+    spec: ChannelSpec,
+    trials: int,
+    scale: float | None = None,
+    drop_largest: int | None = None,
+    full_spectrum: bool | None = None,
+) -> tuple[float, int, bool]:
+    """(scale, drop_largest, full_spectrum) of `run_ensemble` with its
+    defaults filled in; raise ValueError for arguments it rejects, before any
+    trial runs.  The trace route can drop only lambda_1 from the bulk."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if scale is None:
         scale = float(spec.k * spec.k)
     if drop_largest is None:
         drop_largest = 1 if spec.flavor == "conjugate" else 0
     if full_spectrum is None:
         full_spectrum = min(spec.n, spec.k) ** 2 <= FULL_SPECTRUM_CAP
+    if not scale > 0:
+        raise ValueError("scale must be positive")
+    if not 0 <= drop_largest <= (2 if full_spectrum else 1):
+        raise ValueError(
+            "drop_largest must be in {0, 1, 2}" if full_spectrum else "drop_largest must be 0 or 1 on the trace route"
+        )
     return scale, drop_largest, full_spectrum
 
 
@@ -709,7 +736,7 @@ def iter_trial_statistics(
     """Yield (trial index, statistics dict) in trial order; with threads > 1
     later trials compute in the background, but the order and the values are
     identical to the serial run."""
-    scale, drop_largest, full_spectrum = _ensemble_defaults(spec, scale, drop_largest, full_spectrum)
+    scale, drop_largest, full_spectrum = ensemble_settings(spec, trials, scale, drop_largest, full_spectrum)
 
     def one(t: int) -> dict[str, float]:
         return _trial_statistics(spec, trial_rng(seed, t), scale, drop_largest, full_spectrum)
@@ -746,9 +773,7 @@ def run_ensemble(
     full eigensolve.  Trial t draws from
     ``default_rng([seed, t])``, so the result does not depend on `threads`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    scale, drop_largest, full_spectrum = _ensemble_defaults(spec, scale, drop_largest, full_spectrum)
+    scale, drop_largest, full_spectrum = ensemble_settings(spec, trials, scale, drop_largest, full_spectrum)
     results = [
         stats
         for _, stats in iter_trial_statistics(spec, trials, seed, scale, drop_largest, full_spectrum, threads)
@@ -793,6 +818,14 @@ _MOMENT_BATCH = 2048
 _MOMENT_BATCH_ENTRIES = 1 << 17
 
 
+def validate_moment_args(p_max: int, trials: int) -> None:
+    """Raise ValueError unless `moment_ensemble` accepts (p_max, trials)."""
+    if p_max < 1 or p_max > 4:
+        raise ValueError("p_max must be in 1..4")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def moment_ensemble(
     spec: ChannelSpec,
     p_max: int,
@@ -807,10 +840,7 @@ def moment_ensemble(
     for the conjugate flavor, two for the independent one.  Extending
     `trials` therefore extends the ensemble.
     """
-    if p_max < 1 or p_max > 4:
-        raise ValueError("p_max must be in 1..4")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    validate_moment_args(p_max, trials)
     n, k, m = spec.n, spec.k, spec.m
     real_basis = spec.flavor == "conjugate"
     draws = 1 if real_basis else 2

@@ -1,7 +1,8 @@
 """Symmetric-group combinatorics: permutations in one-line notation, cycle
-types, the transposition metric and its geodesics, the Moebius function, the
-block permutations that index the channel-moment sums, and the cached array
-table of S_m that every exact census counts over.
+types, the transposition metric and its geodesics (built from non-crossing
+partitions), the Moebius function, the block permutations that index the
+channel-moment sums, and the cached array table of S_m that every exact
+census counts over.
 
 Composition convention, fixed for the whole package: ``compose(a, b)`` is the
 map ``x -> a(b(x))``, i.e. ``b`` acts first.  One pinned test guards this.
@@ -21,6 +22,8 @@ import numpy as np
 #: `group_table` builds (so at most 8 tables are cached).  S_8 has 40320
 #: elements; the table's radix index holds m**m entries, 67 MB at m = 8.
 DEFAULT_ENUMERATION_CAP = 8
+#: Non-crossing partition enumeration cap; NC(12) has 208012 elements.
+DEFAULT_NC_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -208,9 +211,67 @@ def is_geodesic(a: Permutation, b: Permutation, c: Permutation) -> bool:
     return distance(a, b) + distance(b, c) == distance(a, c)
 
 
+def geodesics(a: Permutation, c: Permutation) -> frozenset[Permutation]:
+    """Every ``b`` on a geodesic from ``a`` to ``c``: the set
+    ``{a x : x <= a^{-1} c}`` of `is_geodesic`, built directly.
+
+    ``x <= s`` (``|x| + |x^{-1} s| = |s|``) holds exactly when every cycle
+    of ``x`` lies inside one cycle of ``s``, traversed in that cycle's
+    order, and the blocks inside each cycle form a non-crossing partition
+    of it (Biane 1997).  So the interval is the product over the cycles of
+    ``s`` of their non-crossing partition lattices, and its size is the
+    product of ``catalan(len)`` over those cycles."""
+    if a.degree != c.degree:
+        raise ValueError(f"degree mismatch: {a.degree} vs {c.degree}")
+    per_cycle = [
+        [[tuple(cyc[i] for i in block) for block in nc] for nc in non_crossing_partitions(len(cyc))]
+        for cyc in compose(a.inverse(), c).cycles()
+    ]
+    return frozenset(
+        compose(a, from_cycles(a.degree, [block for part in choice for block in part]))
+        for choice in itertools.product(*per_cycle)
+    )
+
+
 def catalan(i: int) -> int:
     """Catalan number ``(2i)! / ((i+1)! i!)``."""
     return math.comb(2 * i, i) // (i + 1)
+
+
+def non_crossing_partitions(p: int, cap: int = DEFAULT_NC_CAP) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All non-crossing partitions of {0, ..., p-1}.
+
+    Generated by choosing the block of the smallest element as a sparse
+    subset and recursing on the gaps it leaves, which cannot cross it.
+    """
+    if p > cap:
+        raise ValueError(f"p={p} exceeds the non-crossing enumeration cap {cap}")
+
+    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if not points:
+            yield ()
+            return
+        first, rest = points[0], points[1:]
+        for mask in range(1 << len(rest)):
+            block = (first,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
+            segments = []
+            prev = None
+            for idx, x in enumerate(rest):
+                if mask >> idx & 1:
+                    prev = None
+                    continue
+                if prev is None:
+                    segments.append([x])
+                else:
+                    segments[-1].append(x)
+                prev = x
+            partial: list[tuple[tuple[int, ...], ...]] = [()]
+            for seg in segments:
+                partial = [done + sub for done in partial for sub in rec(tuple(seg))]
+            for tail in partial:
+                yield (block,) + tail
+
+    return rec(tuple(range(p)))
 
 
 def mobius(a: Permutation) -> int:

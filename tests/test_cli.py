@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wgchan
 from wgchan import cli, montecarlo
 from wgchan.cli import main
 
@@ -77,6 +82,48 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
     code, _, _ = run_cli(capsys, argv + ["--out", str(target)])
     assert code == 2
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--n", "3", "--k", "3", "--p-max", "5", "--trials", "10", "--seed", "1"],
+        ["compare", "--n", "3", "--k", "3", "--p-max", "0", "--trials", "10", "--seed", "1"],
+        ["compare", "--n", "3", "--k", "3", "--trials", "0", "--seed", "1"],
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--drop-largest", "3"],
+        ["simulate", "--n", "8", "--trials", "0", "--seed", "1"],
+        ["entropy", "--d", "0", "--c", "2", "--n-list", "8", "--trials", "0", "--seed", "1"],
+    ],
+)
+def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    target = tmp_path / "out.csv"
+    code, out, _ = run_cli(capsys, argv + ["--out", str(target)])
+    assert (code, out) == (2, "")
+    assert not target.exists()
+
+
+def test_cli_runs_without_scipy():
+    # scipy is loaded only for a complex rank-k update wider than 512; small
+    # commands of every kind must start and finish without importing it
+    script = """
+import sys
+import wgchan, wgchan.cli
+for argv in (
+    ["compare", "--n", "3", "--k", "3", "--p-max", "3", "--trials", "20", "--seed", "1"],
+    ["compare", "--flavor", "independent", "--n", "3", "--k", "2", "--trials", "20", "--seed", "1"],
+    ["simulate", "--n", "8", "--trials", "2", "--seed", "1"],
+    ["entropy", "--d", "1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1"],
+):
+    assert wgchan.cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    src = str(Path(wgchan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_wg_rejects_small_n(capsys):

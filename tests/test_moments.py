@@ -238,6 +238,20 @@ def test_minimizers_match_reference_tables(p, d):
     assert r1.minimizer_set() == exp_set
 
 
+@pytest.mark.parametrize(
+    "reference, d, ends",
+    [(reference_S2, 0, "delta->gtilde"), (reference_S1, 0, "delta->gamma"), (reference_S2, 2, "id->delta")],
+)
+def test_reference_geodesic_rows_match_the_walk(reference, d, ends):
+    # the is_geodesic walk over S_8 is the oracle for the non-crossing build
+    p = 4
+    gamma, delta, gtilde = make_gamma_delta(p)
+    named = {"id": perm.identity(2 * p), "delta": delta, "gamma": gamma, "gtilde": gtilde}
+    a, c = (named[x] for x in ends.split("->"))
+    walk = frozenset(b for b in all_permutations(2 * p) if perm.is_geodesic(a, b, c))
+    assert reference(p, d)[1] == walk
+
+
 def test_table_examples_pinned():
     # a few rows spelled out concretely
     g2, d2, gt2 = make_gamma_delta(2)

@@ -11,8 +11,10 @@ from wgchan.perm import (
     LabeledIndex,
     Permutation,
     all_permutations,
+    catalan,
     compose,
     distance,
+    geodesics,
     group_table,
     identity,
     index_of,
@@ -162,6 +164,17 @@ def test_is_geodesic_trivia():
 def test_is_geodesic_delta_between_id_and_gtilde_p2():
     _, delta, gtilde = make_gamma_delta(2)
     assert is_geodesic(identity(4), delta, gtilde)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_geodesics_match_brute_force(data):
+    # the is_geodesic walk over S_m is the oracle for the non-crossing build
+    m = data.draw(st.integers(1, 6))
+    a, c = (Permutation(tuple(data.draw(st.permutations(range(m))))) for _ in range(2))
+    got = geodesics(a, c)
+    assert got == frozenset(b for b in all_permutations(m) if is_geodesic(a, b, c))
+    assert len(got) == math.prod(catalan(len(cyc)) for cyc in compose(a.inverse(), c).cycles())
 
 
 def test_enumerate_counts():
