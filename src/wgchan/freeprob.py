@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .moments import RegimeParams, as_fraction
+from .montecarlo import entropy_of
 from .perm import DEFAULT_NC_CAP, non_crossing_partitions
 
 
@@ -50,9 +51,7 @@ class MarchenkoPastur:
         """Integral of `func` against the absolutely continuous part, via the
         trigonometric substitution x = 1 + c + 2 sqrt(c) sin(phi) that removes
         both square-root edges; Gauss-Legendre in phi converges spectrally."""
-        phi, weights = np.polynomial.legendre.leggauss(nodes)
-        phi = phi * (math.pi / 2)
-        weights = weights * (math.pi / 2)
+        phi, weights = _gauss_legendre(nodes)
         x = 1 + self.c + 2 * math.sqrt(self.c) * np.sin(phi)
         jacobian = 2 * self.c * np.cos(phi) ** 2 / (math.pi * x)
         values = np.array([func(float(v)) for v in x])
@@ -62,6 +61,16 @@ class MarchenkoPastur:
         """Integral against the full measure, atom included."""
         atom = self.atom_at_zero * func(0.0)
         return atom + self.integrate(func, nodes=nodes)
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-pi/2, pi/2], once per
+    count: each costs a LAPACK eigensolve."""
+    phi, weights = (a * (math.pi / 2) for a in np.polynomial.legendre.leggauss(nodes))
+    phi.flags.writeable = False
+    weights.flags.writeable = False
+    return phi, weights
 
 
 def mp_density(c: float, x: float) -> float:
@@ -128,17 +137,14 @@ def gamma_t_vector(t, k: int) -> list:
 
 
 def vn_entropy(v: Sequence[float]) -> float:
-    """Von Neumann entropy -sum v_i log v_i with 0 log 0 := 0; rejects
-    entries below -1e-10 and sums away from 1 beyond 1e-8."""
+    """Von Neumann entropy -sum v_i log v_i of a probability vector, by
+    `montecarlo.entropy_of` (0 log 0 := 0, entries below -1e-10 rejected);
+    also rejects sums away from 1 beyond 1e-8."""
     vals = np.asarray([float(x) for x in v], dtype=float)
-    if vals.size and float(vals.min()) < -1e-10:
-        raise ValueError(f"negative entry {vals.min():.3e}")
     total = float(vals.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"entries sum to {total}, not a probability vector")
-    vals = np.clip(vals, 0.0, None)
-    pos = vals[vals > 0]
-    return float(-(pos * np.log(pos)).sum())
+    return entropy_of(vals)
 
 
 def naive_bound(k: int) -> float:

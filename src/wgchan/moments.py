@@ -6,17 +6,17 @@ solution tables drive those predictions.
 The exact moment is a sum over pairs (alpha, beta) in S_{2p} x S_{2p} of
 k^{#alpha} n^{#(alpha gamma^{-1})} m^{#(beta delta)} Wg(nk, alpha beta^{-1}).
 With alpha' = alpha delta (delta is an involution) the beta sum becomes the
-class function H = G_{2p}(m) Wg(nk), where G_{2p} is the Gram matrix of
-``weingarten.gram_census(2p)``, so
+class function H = G_{2p}(m) Wg(nk), with G_{2p}(m) the central element
+sum_sigma m^{#sigma} sigma, so
 
     E tr Z^p = m^{-p} sum_{alpha' in S_{2p}}
                k^{#(alpha' delta)} n^{#(alpha' delta gamma^{-1})} H(class alpha').
 
-The alpha' sum is grouped by (class, #(alpha' delta), #(alpha' delta gamma^{-1})),
-an integer census (``perm.class_census``) computed once per order and wiring
-(gamma, or f_hat for the pinched sum); evaluation at any (n, k, m) is integer
-arithmetic up to one dot product with the Weingarten values.  The census, G_{2p}
-and the minimizations all count over the one cached group table
+H acts on the irrep rho of S_{2p} as content_rho(m) / content_rho(nk) and is
+read off the character table; no Weingarten table is built.  The alpha' sum
+is grouped by (class, #(alpha' delta), #(alpha' delta gamma^{-1})), an integer
+census (``perm.class_census``) computed once per order and wiring (gamma, or
+f_hat for the pinched sum).  It and the minimizations count over the cached
 ``perm.group_table(2p)``, which stops at S_8, so p <= 4.
 """
 
@@ -32,9 +32,10 @@ import numpy as np
 
 from .perm import (
     DEFAULT_ENUMERATION_CAP,
-    CycleType,
     Permutation,
+    character_table,
     class_census,
+    content_polynomial,
     cycles_after,
     geodesics,
     group_table,
@@ -43,7 +44,7 @@ from .perm import (
     make_gamma_delta,
     partitions,
 )
-from .weingarten import WgTable, gram_matrix, wg_exact
+from .weingarten import WgTable, wg_irrep_weights
 
 #: Pair searches (S and the pinched variant) enumerate S_{2p}^2.
 DEFAULT_PAIR_ORDER = 3
@@ -176,12 +177,14 @@ def _class_weights(p: int, target: Permutation, k: int, n: int) -> list[int]:
     return [sum(cnt * k_pow[a] * n_pow[b] for a, b, cnt in cells) for cells in _class_census(p, target.images)]
 
 
-def _single_sum(p: int, weights: list[int], m: int, wg: WgTable) -> Fraction:
-    """sum_lam weights[lam] H(lam), where H = G_{2p}(m) Wg is the beta sum
-    sum_tau m^{#(sigma_lam tau^{-1})} Wg(tau) taken class by class."""
-    gram = gram_matrix(2 * p, m)
-    row = [sum(w * g_row[mu] for w, g_row in zip(weights, gram)) for mu in range(len(gram))]
-    return sum(r * wg.of_type(CycleType(parts)) for r, parts in zip(row, partitions(2 * p)))
+def _single_sum(p: int, weights: list[int], m: int, nk: int) -> Fraction:
+    """sum_mu weights[mu] H(mu) for the beta sum H = G_{2p}(m) Wg(nk), taken
+    irrep by irrep, where H acts as content_rho(m) / content_rho(nk)."""
+    coef, denom = wg_irrep_weights(nk, 2 * p)
+    total = 0
+    for c, rho, row in zip(coef, partitions(2 * p), character_table(2 * p)):
+        total += c * content_polynomial(rho, m) * sum(w * x for w, x in zip(weights, row))
+    return Fraction(total, denom)
 
 
 def validate_exact_args(p: int, n: int, k: int, m: int):
@@ -197,12 +200,9 @@ def validate_exact_args(p: int, n: int, k: int, m: int):
         raise ValueError(f"m={m} must divide n*k={n * k} (integer complement dimension)")
 
 
-def _wg_for(n: int, k: int, p: int, wg: WgTable | None) -> WgTable:
-    if wg is None:
-        return wg_exact(n * k, 2 * p, max_order=max(2 * p, 7))
-    if wg.n != n * k or wg.p != 2 * p:
+def _check_wg(n: int, k: int, p: int, wg: WgTable | None):
+    if wg is not None and (wg.n != n * k or wg.p != 2 * p):
         raise ValueError(f"Weingarten table is for (n={wg.n}, p={wg.p}), need ({n * k}, {2 * p})")
-    return wg
 
 
 def exact_moment_conjugate(p: int, n: int, k: int, m: int | None = None, wg: WgTable | None = None) -> Fraction:
@@ -213,29 +213,31 @@ def exact_moment_conjugate(p: int, n: int, k: int, m: int | None = None, wg: WgT
             Wg(nk, alpha beta^{-1})
 
     evaluated in rational arithmetic as the single sum over alpha' = alpha delta
-    described in the module docstring.
+    described in the module docstring.  A table passed as ``wg`` is checked to
+    be the one for (nk, 2p) but not read: the sum takes Wg from the characters.
     """
     m = n if m is None else m
     validate_exact_args(p, n, k, m)
-    table = _wg_for(n, k, p, wg)
+    _check_wg(n, k, p, wg)
     gamma, _, _ = make_gamma_delta(p)
-    return _single_sum(p, _class_weights(p, gamma, k, n), m, table) / Fraction(m) ** p
+    return _single_sum(p, _class_weights(p, gamma, k, n), m, n * k) / Fraction(m) ** p
 
 
 def exact_moment_pinched(p: int, n: int, k: int, wg: WgTable | None = None) -> Fraction:
     """Exact E[tr((QZQ)^p)] at m = n, summed over all 2^p choice functions:
     each term carries sign (-1)^{#Bell picks}, Bell normalization n^{-#Bell},
     and the permutation sum with gamma replaced by f_hat.  The class weights of
-    all choice functions are combined before the one single sum."""
+    all choice functions are combined before the one single sum.  ``wg`` is
+    checked and not read, as in `exact_moment_conjugate`."""
     validate_exact_args(p, n, k, n)
-    table = _wg_for(n, k, p, wg)
+    _check_wg(n, k, p, wg)
     weights = [0] * len(partitions(2 * p))
     for f in choice_functions(p):
         e = f.bell_count
         scale = (-1) ** e * n ** (p - e)
         for lam, w in enumerate(_class_weights(p, choice_to_permutation(f), k, n)):
             weights[lam] += scale * w
-    return _single_sum(p, weights, n, table) / Fraction(n) ** (2 * p)
+    return _single_sum(p, weights, n, n * k) / Fraction(n) ** (2 * p)
 
 
 def vanishing_cancellation_check(p: int, alpha: Permutation, max_order: int = DEFAULT_PAIR_ORDER) -> bool:

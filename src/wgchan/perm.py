@@ -1,7 +1,8 @@
 """Symmetric-group combinatorics: permutations in one-line notation, cycle
 types, the transposition metric and its geodesics (built from non-crossing
 partitions), the Moebius function, the block permutations that index the
-channel-moment sums, and the cached array table of S_m that every exact
+channel-moment sums, the character table of S_q that every exact class
+function is read off, and the cached array table of S_m that every exact
 census counts over.
 
 Composition convention, fixed for the whole package: ``compose(a, b)`` is the
@@ -19,8 +20,9 @@ from typing import Iterator
 import numpy as np
 
 #: Largest group degree `m` that `all_permutations` enumerates by default and
-#: `group_table` builds (so at most 8 tables are cached).  S_8 has 40320
-#: elements; the table's radix index holds m**m entries, 67 MB at m = 8.
+#: `group_table` builds.  Only the exact moments' census and the exponent
+#: minimizations read a table, that of S_2p, so they stop at p = 4.  S_8 has
+#: 40320 elements; the table's radix index holds m**m entries, 67 MB at m = 8.
 DEFAULT_ENUMERATION_CAP = 8
 #: Non-crossing partition enumeration cap; NC(12) has 208012 elements.
 DEFAULT_NC_CAP = 12
@@ -364,6 +366,52 @@ def partitions(m: int) -> list[tuple[int, ...]]:
 
     rec(m, m, ())
     return out
+
+
+@lru_cache(maxsize=None)
+def character_table(q: int) -> tuple[tuple[int, ...], ...]:
+    """Irreducible characters of S_q: ``chi[lam][mu]`` is the character of the
+    irrep with Young diagram ``lam`` on the class of cycle type ``mu``, rows
+    and columns both in ``partitions(q)`` order.  Built once per q by the
+    Murnaghan-Nakayama rule, without touching the group's elements."""
+    classes = partitions(q)
+    return tuple(tuple(_mn_character(lam, mu) for mu in classes) for lam in classes)
+
+
+@lru_cache(maxsize=None)
+def _mn_character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi_shape(cycles) by Murnaghan-Nakayama: remove a rim hook of length
+    cycles[0] in every possible way, with sign (-1)^height, and recurse on the
+    remaining cycles.  In beta-numbers (shape[i] + len(shape) - 1 - i) removing
+    an r-hook moves one bead b to a free b - r >= 0, and its height is the
+    number of beads strictly between them."""
+    if not cycles:
+        return 1
+    r, rest = cycles[0], cycles[1:]
+    top = len(shape) - 1
+    beta = [part + top - i for i, part in enumerate(shape)]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        height = sum(1 for c in beta if b - r < c < b)
+        moved = sorted((c - r if c == b else c for c in beta), reverse=True)
+        smaller = tuple(x - top + i for i, x in enumerate(moved) if x - top + i > 0)
+        total += (-1) ** height * _mn_character(smaller, rest)
+    return total
+
+
+def irrep_dims(q: int) -> tuple[int, ...]:
+    """dim lam for every irrep of S_q in ``partitions(q)`` order: the
+    character on the identity class 1^q, which ``partitions(q)`` lists last."""
+    return tuple(row[-1] for row in character_table(q))
+
+
+def content_polynomial(shape: tuple[int, ...], x: int) -> int:
+    """``prod_{(i, j) in shape} (x + j - i)``: the scalar by which the central
+    element ``sum_sigma x^{#sigma} sigma`` of S_q acts on the irrep ``shape``
+    (Collins-Sniady 2006)."""
+    return math.prod(x + j - i for i, part in enumerate(shape) for j in range(part))
 
 
 @dataclass(frozen=True)

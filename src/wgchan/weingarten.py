@@ -1,46 +1,35 @@
 """Weingarten calculus on the unitary group.
 
-``wg_exact`` inverts the class-algebra Gram matrix of ``sigma -> n^{#sigma}``
-exactly, so the convolution identity
+``wg_exact`` reads the exact Weingarten table off the characters of S_p
+(``perm.character_table``).  The central element ``sum_sigma n^{#sigma} sigma``
+acts on the irrep lam as content_lam(n) (``perm.content_polynomial``) and Wg
+is its inverse, so
 
-    sum_tau n^{#(sigma tau^{-1})} Wg(tau) = [sigma == id]
+    Wg(n, mu) = (1/p!) sum_lam dim lam chi_lam(mu) / content_lam(n).
 
-holds with zero tolerance.  The Gram matrix is a polynomial in n whose integer
-coefficients depend only on p; ``gram_census`` reads them off the cached group
-table of S_p (``perm.class_census``) once per order, and each table evaluates
-that polynomial at n in integers and solves by fraction-free (Bareiss)
-elimination.  ``haar_moment`` evaluates the full Haar-moment integration
-formula from such a table, with a seeded Monte Carlo oracle
-(``haar_moment_mc``) to check it against.
+The tests check the convolution identity
+sum_tau n^{#(sigma tau^{-1})} Wg(tau) = [sigma == id] on the whole group with
+zero tolerance, an independent route to the same values.  ``haar_moment``
+evaluates the full Haar-moment integration formula from such a table, with a
+seeded Monte Carlo oracle (``haar_moment_mc``) to check it against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .perm import CycleType, Permutation, catalan, class_census, mobius, partitions
+from .perm import CycleType, Permutation, catalan, character_table, content_polynomial, irrep_dims, mobius, partitions
 
-#: Largest order p for which wg_exact builds a table by default.  The class
-#: algebra stays tiny (15 classes at p=7); the Gram census reads S_p's group
-#: table, which costs 0.02 s to build at p=7 and 0.2 s at p=8.  Orders above
-#: perm.DEFAULT_ENUMERATION_CAP have no group table and raise.
+#: Largest order p for which wg_exact builds a table by default; pass
+#: max_order to go higher.  A table reads S_p's character table, one row and
+#: one column per partition of p: 15 at p = 7, 77 at p = 12.
 DEFAULT_WG_ORDER_CAP = 7
-
-
-def class_representative(parts: tuple[int, ...]) -> Permutation:
-    """Canonical representative with consecutive cycles: (0 1 2)(3 4)..."""
-    images = []
-    start = 0
-    for d in parts:
-        images.extend(list(range(start + 1, start + d)) + [start])
-        start += d
-    return Permutation(tuple(images))
 
 
 @dataclass(frozen=True)
@@ -54,9 +43,6 @@ class WgTable:
     p: int
     values: Mapping[CycleType, Fraction]
 
-    def of_type(self, ct: CycleType) -> Fraction:
-        return self.values[ct]
-
     def of(self, a: Permutation) -> Fraction:
         return self.values[a.cycle_type()]
 
@@ -68,82 +54,33 @@ class WgTable:
         return self.values[CycleType(tuple(key))]
 
 
-@lru_cache(maxsize=None)
-def gram_census(p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Integer census ``C[lam][mu][c] = #{tau in class mu : #(sigma_lam tau^{-1}) = c}``
-    over the classes of S_p in ``partitions(p)`` order, with sigma_lam the
-    ``class_representative``, read off the group table of S_p.  The Gram
-    matrix at dimension n is ``G[lam][mu] = sum_c C[lam][mu][c] n^c`` for
-    every n."""
-    # tau -> tau^{-1} keeps the class and #(sigma tau) = #(tau sigma), so row
-    # lam counts #(tau sigma_lam) over tau in each class
-    return tuple(
-        tuple(map(tuple, class_census(p, [class_representative(parts).images]).tolist()))
-        for parts in partitions(p)
-    )
-
-
-def gram_matrix(p: int, x: int) -> list[list[int]]:
-    """The Gram matrix ``G[lam][mu] = sum_{tau in class mu} x^{#(sigma_lam tau^{-1})}``
-    of S_p at the integer x, evaluated in integers (Horner) from ``gram_census(p)``."""
-
-    def at_x(cell: tuple[int, ...]) -> int:
-        value = 0
-        for cnt in reversed(cell):
-            value = value * x + cnt
-        return value
-
-    return [[at_x(cell) for cell in row] for row in gram_census(p)]
-
-
-def _solve_integer(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve A x = b for integer A, b: fraction-free (Bareiss) elimination to
-    upper-triangular form, every division exact, then rational back-substitution."""
-    size = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    prev = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        head = a[col]
-        for r in range(col + 1, size):
-            row = a[r]
-            lead = row[col]
-            row[col] = 0
-            for j in range(col + 1, size + 1):
-                row[j] = (row[j] * head[col] - lead * head[j]) // prev
-        prev = head[col]
-    x: list[Fraction] = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
-        rest = a[r][size] - sum(a[r][j] * x[j] for j in range(r + 1, size))
-        x[r] = Fraction(rest, a[r][r])
-    return x
+def wg_irrep_weights(n: int, q: int) -> tuple[list[int], int]:
+    """Wg(n, .) on S_q in the character basis: integers ``c[lam]`` (in
+    ``partitions(q)`` order) and one denominator ``D`` with
+    ``c[lam] / D = dim lam / (q! content_lam(n))``, so that
+    ``Wg(n, mu) = sum_lam c[lam] chi_lam(mu) / D``.  Needs every
+    content_lam(n) nonzero, i.e. n >= q."""
+    contents = [content_polynomial(lam, n) for lam in partitions(q)]
+    scale = math.lcm(*contents)
+    return [dim * (scale // c) for dim, c in zip(irrep_dims(q), contents)], scale * math.factorial(q)
 
 
 def wg_exact(n: int, p: int, max_order: int = DEFAULT_WG_ORDER_CAP) -> WgTable:
-    """Exact rational Weingarten table for S_p at dimension n.
-
-    Solves G(n) x = e_id, where G[lam, mu] =
-    sum_{tau in class mu} n^{#(sigma_lam tau^{-1})} over one representative
-    sigma_lam per class.  G(n) is evaluated in integers from the cached,
-    n-independent ``gram_census(p)`` and solved by fraction-free elimination,
-    so after the first call at an order, a table at any n costs no census.
-    Wg is a class function, so the class reduction loses nothing; tests
-    validate the convolution identity on the full group.
-    """
+    """Exact rational Weingarten table for S_p at dimension n, read off the
+    character table by ``wg_irrep_weights``; no group element is enumerated."""
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
     if p > max_order:
         raise ValueError(f"order p={p} exceeds the cap {max_order}; pass max_order to opt in")
     if n < p:
-        raise ValueError(f"n < p ({n} < {p}): the Gram matrix is singular, table rejected")
+        raise ValueError(f"n < p ({n} < {p}): content_lam(n) vanishes for some irrep, table rejected")
 
-    parts_list = partitions(p)
-    rhs = [1 if parts == (1,) * p else 0 for parts in parts_list]
-    solution = _solve_integer(gram_matrix(p, n), rhs)
-    values = {CycleType(parts): solution[idx] for idx, parts in enumerate(parts_list)}
+    coef, denom = wg_irrep_weights(n, p)
+    chi = character_table(p)
+    values = {
+        CycleType(mu): Fraction(sum(c * row[j] for c, row in zip(coef, chi)), denom)
+        for j, mu in enumerate(partitions(p))
+    }
     return WgTable(n=n, p=p, values=values)
 
 

@@ -435,3 +435,37 @@ def test_simulate_threads_do_not_change_output(capsys):
     _, out1, _ = run_cli(capsys, base)
     _, out2, _ = run_cli(capsys, base + ["--threads", "2"])
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: exact commands only (Fractions and their correctly rounded
+# floats), so the bytes do not depend on BLAS or the host
+
+GOLDEN = Path(__file__).parent / "golden"
+_MIN_D = ["--d", "0", "--d", "1/2", "--d", "1", "--d", "4/3", "--d", "3/2", "--d", "2", "--d", "3"]
+GOLDEN_CASES = [
+    *[(f"wg_n9_p{p}", ["wg", "--n", "9", "--p", str(p)], 0) for p in range(1, 8)],
+    ("wg_n9_p7_json", ["wg", "--n", "9", "--p", "7", "--format", "json"], 0),
+    ("wg_n10_p8_cap", ["wg", "--n", "10", "--p", "8"], 2),
+    *[
+        (f"exact_{name}_{fmt}", ["exact-moments", *argv, "--p-max", "4", "--format", fmt], 0)
+        for name, argv in (
+            ("conj_n3_k3", ["--n", "3", "--k", "3"]),
+            ("conj_n2_k4_m4", ["--n", "2", "--k", "4", "--m", "4"]),
+            ("conj_n4_k2_m1", ["--n", "4", "--k", "2", "--m", "1"]),
+            ("pinched_n3_k3", ["--n", "3", "--k", "3", "--pinched"]),
+            ("pinched_n4_k2", ["--n", "4", "--k", "2", "--pinched"]),
+        )
+        for fmt in ("csv", "json")
+    ],
+    ("exact_conj_n3_k2_rejected", ["exact-moments", "--n", "3", "--k", "2", "--p-max", "4"], 2),
+    ("minimize_p2", ["minimize", "--p", "2", *_MIN_D, "--check-tables"], 0),
+    ("minimize_p3", ["minimize", "--p", "3", *_MIN_D, "--check-tables"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, want_code", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES])
+def test_cli_golden_outputs(capsys, name, argv, want_code):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == want_code
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

@@ -1,16 +1,20 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wgchan
 from wgchan import perm
 from wgchan.perm import CycleType, Permutation
 from wgchan.weingarten import (
     IndexTuple,
-    gram_census,
     haar_moment,
     haar_moment_mc,
     partitions,
@@ -89,18 +93,45 @@ def _class_size(parts):
     return size
 
 
-@pytest.mark.parametrize("p", range(1, 9))
-def test_gram_census_totals(p):
-    # each row counts every tau once: class mu's cells sum to |mu| and the row
-    # to p!; against the identity every tau in mu has exactly #mu cycles
-    census = gram_census(p)
-    classes = partitions(p)
-    for lam, row in zip(classes, census):
-        for parts, cell in zip(classes, row):
-            assert sum(cell) == _class_size(parts)
-            if lam == (1,) * p:
-                assert cell[len(parts)] == _class_size(parts)
-        assert sum(map(sum, row)) == math.factorial(p)
+def _hook_length_dim(shape):
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            arm = part - j - 1
+            leg = sum(1 for below in shape[i + 1 :] if below > j)
+            hooks *= arm + leg + 1
+    return math.factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_character_table_orthogonality(q):
+    # sum_mu |mu| chi_lam(mu) chi_nu(mu) = q! [lam == nu], and each irrep's
+    # character on the identity class is its dimension by the hook-length formula
+    classes = partitions(q)
+    chi = perm.character_table(q)
+    sizes = [_class_size(mu) for mu in classes]
+    for a, row_a in enumerate(chi):
+        for b, row_b in enumerate(chi):
+            inner = sum(size * x * y for size, x, y in zip(sizes, row_a, row_b))
+            assert inner == (math.factorial(q) if a == b else 0)
+    identity_class = classes.index((1,) * q)
+    assert [row[identity_class] for row in chi] == [_hook_length_dim(lam) for lam in classes]
+    assert list(perm.irrep_dims(q)) == [_hook_length_dim(lam) for lam in classes]
+
+
+def test_wg_exact_builds_no_group_table():
+    # the table is read off the character table; the group table of S_p is
+    # left to the censuses that need it
+    script = """
+from wgchan import perm
+from wgchan.weingarten import wg_exact
+wg_exact(9, 7)
+assert perm.group_table.cache_info().currsize == 0, perm.group_table.cache_info()
+"""
+    src = str(Path(wgchan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_wg_rejects_singular_regime():
