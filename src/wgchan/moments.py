@@ -170,11 +170,29 @@ def _class_census(p: int, target_images: tuple[int, ...]) -> tuple[tuple[tuple[i
     )
 
 
-def _class_weights(p: int, target: Permutation, k: int, n: int) -> list[int]:
-    """Per class lam: sum over alpha in lam of k^{#(alpha delta)} n^{#(alpha delta target^{-1})}."""
+@lru_cache(maxsize=4)
+def _pinched_census(p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The census of the pinched sum, merged over all 2^p choice functions
+    f: per class, cells (a, b, count) as in `_class_census` against f_hat,
+    with each term's sign (-1)^e and Bell normalization n^{p-e} (e its Bell
+    picks) folded into the count and the exponent b.  Cells that cancel are
+    dropped."""
+    merged = [Counter() for _ in partitions(2 * p)]
+    for f in choice_functions(p):
+        e = f.bell_count
+        for acc, cells in zip(merged, _class_census(p, choice_to_permutation(f).images)):
+            for a, b, cnt in cells:
+                acc[a, b + p - e] += (-1) ** e * cnt
+    return tuple(tuple((a, b, cnt) for (a, b), cnt in sorted(acc.items()) if cnt) for acc in merged)
+
+
+def _class_weights(p: int, census, k: int, n: int) -> list[int]:
+    """Per class lam: sum of count * k^a n^b over the census cells (a, b,
+    count) of lam; for the census of `target` that is the sum over alpha in
+    lam of k^{#(alpha delta)} n^{#(alpha delta target^{-1})}."""
     k_pow = [k**a for a in range(2 * p + 1)]
-    n_pow = [n**b for b in range(2 * p + 1)]
-    return [sum(cnt * k_pow[a] * n_pow[b] for a, b, cnt in cells) for cells in _class_census(p, target.images)]
+    n_pow = [n**b for b in range(3 * p + 1)]
+    return [sum(cnt * k_pow[a] * n_pow[b] for a, b, cnt in cells) for cells in census]
 
 
 def _single_sum(p: int, weights: list[int], m: int, nk: int) -> Fraction:
@@ -220,23 +238,19 @@ def exact_moment_conjugate(p: int, n: int, k: int, m: int | None = None, wg: WgT
     validate_exact_args(p, n, k, m)
     _check_wg(n, k, p, wg)
     gamma, _, _ = make_gamma_delta(p)
-    return _single_sum(p, _class_weights(p, gamma, k, n), m, n * k) / Fraction(m) ** p
+    return _single_sum(p, _class_weights(p, _class_census(p, gamma.images), k, n), m, n * k) / Fraction(m) ** p
 
 
 def exact_moment_pinched(p: int, n: int, k: int, wg: WgTable | None = None) -> Fraction:
     """Exact E[tr((QZQ)^p)] at m = n, summed over all 2^p choice functions:
     each term carries sign (-1)^{#Bell picks}, Bell normalization n^{-#Bell},
-    and the permutation sum with gamma replaced by f_hat.  The class weights of
-    all choice functions are combined before the one single sum.  ``wg`` is
-    checked and not read, as in `exact_moment_conjugate`."""
+    and the permutation sum with gamma replaced by f_hat.  All 2^p censuses
+    are merged once per order (`_pinched_census`), so a call forms one
+    class-weight vector and takes the one single sum.  ``wg`` is checked and
+    not read, as in `exact_moment_conjugate`."""
     validate_exact_args(p, n, k, n)
     _check_wg(n, k, p, wg)
-    weights = [0] * len(partitions(2 * p))
-    for f in choice_functions(p):
-        e = f.bell_count
-        scale = (-1) ** e * n ** (p - e)
-        for lam, w in enumerate(_class_weights(p, choice_to_permutation(f), k, n)):
-            weights[lam] += scale * w
+    weights = _class_weights(p, _pinched_census(p), k, n)
     return _single_sum(p, weights, n, n * k) / Fraction(n) ** (2 * p)
 
 

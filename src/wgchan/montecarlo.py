@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -59,9 +60,10 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Standard complex Gaussian array; real/imag parts interleaved per entry
-    so chunked draws concatenate identically to one big draw."""
-    both = rng.standard_normal(shape + (2,))
-    return both[..., 0] + 1j * both[..., 1]
+    so chunked draws concatenate identically to one big draw.  The draws
+    are already laid out as complex128, so the complex view reads them in
+    place, C-contiguous, with no further pass."""
+    return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
 def _phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -146,24 +148,26 @@ def _vdot(x: np.ndarray, y: np.ndarray, axes: int):
     return np.einsum(f"...{sub},...{sub}->...", x.conj(), y)
 
 
-def _herm_traces_34(g: np.ndarray):
-    """(tr g^3, tr g^4) for Hermitian g over the last two axes: real
-    symmetric g squares as g^T g, which numpy hands to syrk; a single
-    complex g more than 512 wide takes one triangular update L, the lower
-    triangle of g^2 with zeros above it, and reads both traces off dot
-    products with L, counting the off-diagonal half twice."""
+def _herm_traces_34(g: np.ndarray, p_max: int) -> list:
+    """[tr g^3], or [tr g^3, tr g^4] when p_max is 4, for Hermitian g over
+    the last two axes: real symmetric g squares as g^T g, which numpy hands
+    to syrk; a single complex g more than 512 wide takes one triangular
+    update L, the lower triangle of g^2 with zeros above it, and reads both
+    traces off dot products with L, counting the off-diagonal half twice."""
     if np.isrealobj(g):
         g2 = g.swapaxes(-1, -2) @ g
-        return _vdot(g2, g, 2), _vdot(g2, g2, 2)
+        tr3 = _vdot(g2, g, 2)
+        return [tr3, _vdot(g2, g2, 2)] if p_max == 4 else [tr3]
     if g.ndim > 2 or g.shape[0] <= 512:
         g2 = g @ g
         tr3 = np.sum(g2 * g.swapaxes(-1, -2), axis=(-2, -1)).real
-        return tr3, _vdot(g2, g2, 2).real
+        return [tr3, _vdot(g2, g2, 2).real] if p_max == 4 else [tr3]
     low = _zherk_lower(g, outer=False)
     d, d2 = g.diagonal().real, low.diagonal().real
     tr3 = 2.0 * float(np.vdot(g, low).real) - float(d @ d2)
-    tr4 = 2.0 * float(np.vdot(low, low).real) - float(d2 @ d2)
-    return tr3, tr4
+    if p_max < 4:
+        return [tr3]
+    return [tr3, 2.0 * float(np.vdot(low, low).real) - float(d2 @ d2)]
 
 
 def _trace_powers(gram: np.ndarray, p_max: int) -> np.ndarray:
@@ -173,8 +177,8 @@ def _trace_powers(gram: np.ndarray, p_max: int) -> np.ndarray:
     if p_max >= 2:
         out.append(_vdot(gram, gram, 2).real)
     if p_max >= 3:
-        out.extend(_herm_traces_34(gram))
-    return np.stack(out[:p_max], axis=-1)
+        out.extend(_herm_traces_34(gram, p_max))
+    return np.stack(out, axis=-1)
 
 
 def _pinch(gram: np.ndarray, overlap: np.ndarray | None, e: np.ndarray) -> np.ndarray:
@@ -488,7 +492,7 @@ def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator, count: in
     return haar_isometry(spec.n * spec.k, spec.m, rng, count)
 
 
-#: Complex entries per row block of the real factor build.
+#: Complex entries of P = V V* per row block of `_real_factor`.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -503,6 +507,28 @@ def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray) -> np.n
     return w
 
 
+@lru_cache(maxsize=16)
+def _real_factor_plan(n: int, k: int, m: int) -> tuple:
+    """The k^2-long read pattern of `_real_factor` for each class of rows
+    (a, b): a < b, a = b and a > b, in that order.  Each is a pair
+    (offsets, coefficients), both of shape (2, 1, k^2): where entry (c, d)
+    of the row reads P[(a, c), (b, d)] and P[(a, d), (b, c)] in the float64
+    view of P, counted from P[(a, 0), (b, 0)], and what it multiplies each
+    by."""
+    s_above, s_below, s_on = np.array([1.0, 1j, math.sqrt(0.5)]) / math.sqrt(m)
+    c, d = np.divmod(np.arange(k * k), k)
+    upper = c <= d
+    row = 2 * n * k
+    plan = []
+    for s, below in ((s_above.real, False), (s_on.real, False), (s_below.imag, True)):
+        part = (upper == below).astype(np.intp)  # 0 reads Re P, 1 reads Im P
+        offsets = np.stack([c * row + 2 * d + part, d * row + 2 * c + part])[:, None, :]
+        coefs = np.stack([np.where(below & upper, -s, s), np.where(below | ~upper, -s, s)])[:, None, :]
+        offsets.flags.writeable = coefs.flags.writeable = False  # shared by every caller
+        plan.append((offsets, coefs))
+    return tuple(plan)
+
+
 def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
     """W' = U_n* W U_k for the conjugate flavor (for each leading index of
     the isometry stack `v`), written into one float64 array one row block
@@ -515,25 +541,41 @@ def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
     -sqrt 2 Im X when a > b and Re X when a = b.  All three read the same
     way off Y = s M + conj(s M)^T with s = 1, i, 1/sqrt 2 respectively:
     Re Y above the diagonal of Y, Im Y below it and Re Y / sqrt 2 on it.
+
+    Entry (c, d) of that row is therefore (P1 c1 + P2 c2) d: P1 and P2 are
+    the real or imaginary parts of the entries of P under M[c, d] and
+    M[d, c], c1 and c2 are +-|s| / sqrt m, and d is sqrt 1/2 on the diagonal
+    c = d and 1 off it.  `_real_factor_plan` holds, per class of (a, b),
+    where P1 and P2 sit in the float64 view of P and their c1 and c2.  Each
+    row a of a block takes its three runs of b (a > b, a = b, a < b) in one
+    gather each, its (a, b) base offsets added to the pattern by
+    broadcasting, so every elementwise step runs over contiguous float64
+    data.  These are the roundings of forming Y in complex arithmetic, in
+    the same order: s M with s purely real or purely imaginary rounds one
+    product per part, adding the conjugate transpose adds or subtracts that
+    part, and the diagonal factor comes last.  So W' is bitwise what Y
+    gives from the same P, however the rows are blocked.
     """
     n, k, m = spec.n, spec.k, spec.m
     lead = v.shape[:-2]
-    a_minus_b = np.subtract.outer(np.arange(n), np.arange(n))
-    scale = np.where(a_minus_b < 0, 1.0, np.where(a_minus_b > 0, 1j, math.sqrt(0.5))) / math.sqrt(m)
-    upper = np.subtract.outer(np.arange(k), np.arange(k)) <= 0
-    diag = np.arange(k)
-    w = np.empty(lead + (n * n, k * k))
+    above, on, below = _real_factor_plan(n, k, m)
+    w = np.empty(lead + (n, n, k * k))
     vh = v.conj().swapaxes(-1, -2)
+    row_a = 2 * k * n * k  # floats of P in the k rows (a, .)
+    b_start = np.arange(n)[:, None] * (2 * k)
     step = max(1, _BLOCK_ENTRIES // (n * k * k))
     for a0 in range(0, n, step):
         a1 = min(a0 + step, n)
-        rows = (v[..., a0 * k : a1 * k, :] @ vh).reshape(lead + (a1 - a0, k, n, k)).swapaxes(-3, -2)
-        x = rows * scale[a0:a1, :, None, None]  # [..., a, b, c, d]
-        y = x + x.swapaxes(-1, -2).conj()
-        out = w[..., a0 * n : a1 * n, :].reshape(lead + (a1 - a0, n, k, k))
-        np.copyto(out, y.real, where=upper)
-        np.copyto(out, y.imag, where=~upper)
-        out[..., diag, diag] *= math.sqrt(0.5)
+        p = (v[..., a0 * k : a1 * k, :] @ vh).view(np.float64).reshape(lead + (-1,))
+        for a in range(a0, a1):
+            base = (a - a0) * row_a + b_start
+            for (offsets, coefs), b0, b1 in ((below, 0, a), (on, a, a + 1), (above, a + 1, n)):
+                if b0 < b1:
+                    terms = np.take(p, base[b0:b1] + offsets, axis=-1)
+                    terms *= coefs
+                    np.add(terms[..., 0, :, :], terms[..., 1, :, :], out=w[..., a, b0:b1, :])
+    w = w.reshape(lead + (n * n, k * k))
+    w[..., :: k + 1] *= math.sqrt(0.5)
     return w
 
 

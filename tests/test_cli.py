@@ -469,3 +469,32 @@ def test_cli_golden_outputs(capsys, name, argv, want_code):
     code, out, _ = run_cli(capsys, argv)
     assert code == want_code
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# seeded Monte Carlo goldens: the floats depend on BLAS, so each runs in a
+# fresh process with one BLAS thread; a change that claims to move no value
+# must leave these bytes as they are.  They were written with OpenBLAS
+# 0.3.31 (numpy 2.4) on x86-64; another BLAS build or CPU kernel may round
+# differently and needs its own files
+_CMP = ["compare", "--trials", "3000", "--seed", "11"]
+COMPARE_GOLDEN_CASES = [
+    ("compare_conj_n3_k3_json", [*_CMP, "--p-max", "3", "--n", "3", "--k", "3", "--format", "json"]),
+    ("compare_conj_n4_k4_p4_csv", [*_CMP, "--n", "4", "--k", "4", "--p-max", "4", "--strict"]),
+    ("compare_pinched_n3_k3_csv", [*_CMP, "--p-max", "3", "--n", "3", "--k", "3", "--pinched"]),
+    ("compare_conj_n2_k6_m3_csv", [*_CMP, "--p-max", "3", "--n", "2", "--k", "6", "--m", "3"]),
+    ("compare_conj_n4_k3_m6_json", [*_CMP, "--p-max", "3", "--n", "4", "--k", "3", "--m", "6", "--format", "json"]),
+    ("compare_indep_n3_k3_csv", [*_CMP, "--p-max", "3", "--flavor", "independent", "--n", "3", "--k", "3"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", COMPARE_GOLDEN_CASES, ids=[case[0] for case in COMPARE_GOLDEN_CASES])
+def test_compare_golden_outputs(name, argv):
+    src = str(Path(wgchan.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    done = subprocess.run([sys.executable, "-m", "wgchan.cli", *argv], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()

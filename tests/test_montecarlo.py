@@ -266,6 +266,44 @@ def test_real_route_matches_complex_gram(spec, seed):
     assert np.abs(pinched - oracle[: pinched.size]).max() < 1e-12
 
 
+def real_basis_unitary(d):
+    """U_d of the module docstring as a dense d^2 x d^2 matrix."""
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(d):
+        u[a * d + a, a * d + a] = 1
+        for b in range(a + 1, d):
+            ab, ba = a * d + b, b * d + a
+            u[ab, ab] = u[ba, ab] = math.sqrt(0.5)
+            u[ab, ba], u[ba, ba] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    return u
+
+
+@pytest.mark.parametrize("n, k, m", [(7, 3, 7), (5, 1, 5), (1, 4, 2), (3, 5, 5), (4, 6, 8), (5, 4, 10)])
+def test_real_factor_blocks_and_batches_are_bitwise_identical(monkeypatch, n, k, m):
+    # P = V V* is split into row blocks only above 2^20 entries, beyond every
+    # shape of the property test above: shrink the blocks to 1, 2 and 3 rows
+    # of a (a partial last block whenever they do not divide n) and require
+    # the bits of the one-block build; a stack must equal its trials built
+    # one at a time, and all must be U_n* W U_k of the complex factor.  The
+    # entries of v are multiples of 1/4, so every entry of P is exact
+    # whichever BLAS kernel a block's shape selects, and only the
+    # elementwise stage is under test.
+    spec = conjugate_spec(n, k, m)
+    rng = np.random.default_rng(31)
+    v = (rng.integers(-4, 5, (3, n * k, m)) + 1j * rng.integers(-4, 5, (3, n * k, m))) / 4
+    whole = montecarlo._real_factor(spec, v)
+    assert whole.shape == (3, n * n, k * k) and whole.dtype == np.float64
+    for t in range(3):
+        assert np.array_equal(montecarlo._real_factor(spec, v[t]), whole[t])
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", rows * n * k * k)
+        assert np.array_equal(montecarlo._real_factor(spec, v), whole)
+        assert np.array_equal(montecarlo._real_factor(spec, v[1]), whole[1])
+    rotated = real_basis_unitary(n).conj().T @ montecarlo._complex_factor(spec, v, v.conj()) @ real_basis_unitary(k)
+    assert np.abs(rotated.imag).max() < 1e-13
+    assert np.abs(rotated.real - whole).max() < 1e-13
+
+
 def test_product_output_trace_one():
     for seed in range(5):
         z = product_output(conjugate_spec(4, 3), seed)
