@@ -201,6 +201,8 @@ def _label_one(entry, labels) -> str:
 
 
 def cmd_minimize(args) -> int:
+    if args.p < 1:
+        raise CliError(f"p={args.p} must be >= 1")
     if args.p > moments.DEFAULT_PAIR_ORDER:
         raise CliError(f"p={args.p} exceeds the pair-search cap {moments.DEFAULT_PAIR_ORDER}")
     d_values = [_parse_d(text) for text in args.d]

@@ -18,6 +18,17 @@ is grouped by (class, #(alpha' delta), #(alpha' delta gamma^{-1})), an integer
 census (``perm.class_census``) computed once per order and wiring (gamma, or
 f_hat for the pinched sum).  It and the minimizations count over the cached
 ``perm.group_table(2p)``, which stops at S_8, so p <= 4.
+
+Every minimization objective is d A + B + const, with small integers A and B
+fixed at each point of the domain.  So each problem and order has one cached,
+read-only census (`_Census`), built in one pass over S_{2p} (S1, S2) or
+S_{2p}^2 (S and the pinched S): the (A, B) classes that occur (2 to 36 for S1
+and S2 at p <= 4, at most 53 for the pair problems at p <= 3) and the points
+of each, in row-major order.  A value d = num/den is answered from the class
+table: score each class as num A + den B, take the minimum, and read the
+points of the winning classes.  The pinched problem's minimum over choice
+functions, min_f (#Bell(f) + |alpha f_hat^{-1}|), does not depend on d and
+enters B once per alpha.
 """
 
 from __future__ import annotations
@@ -299,58 +310,87 @@ class ExponentReport:
         return frozenset(self.minimizers)
 
 
-def _length_table(p: int) -> np.ndarray:
+def _lengths(p: int, right: Permutation | None = None) -> np.ndarray:
+    """|beta right| for every beta in S_{2p} (|beta| without `right`), int16."""
     g = group_table(2 * p)
-    return (2 * p - g.ncycles).astype(np.int64)
+    ncycles = g.ncycles if right is None else cycles_after(g, right.images)
+    return (2 * p - ncycles).astype(np.int16)
 
 
-def _length_after(p: int, right: Permutation) -> np.ndarray:
-    return 2 * p - cycles_after(group_table(2 * p), right.images)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=4)
 def _pair_length_matrix(p: int) -> np.ndarray:
-    """|alpha beta^{-1}| for all pairs, as an (N, N) int16 matrix."""
+    """|alpha beta^{-1}| for all pairs, as a read-only (N, N) int16 matrix."""
     g = group_table(2 * p)
-    n_elems = g.perms.shape[0]
-    inv_all = g.perms[g.inverse]
-    out = np.empty((n_elems, n_elems), dtype=np.int16)
-    chunk = max(1, int(4_000_000 // max(n_elems * 2 * p, 1)))
-    for start in range(0, n_elems, chunk):
-        stop = min(start + chunk, n_elems)
-        composed = g.perms[start:stop][:, inv_all]
-        ncyc = g.ncycles[index_of(g, composed.reshape(-1, 2 * p))]
-        out[start:stop] = (2 * p - ncyc).reshape(stop - start, n_elems).astype(np.int16)
-    return out
+    return _frozen(_lengths(p)[index_of(g.perms[:, g.perms[g.inverse]])])
 
 
-def _perm_at(p: int, idx: int) -> Permutation:
-    g = group_table(2 * p)
-    return Permutation(tuple(int(x) for x in g.perms[idx]))
+@dataclass(frozen=True)
+class _Census:
+    """The exponent classes of one minimization problem at one order: the
+    objective is d A + B + const at every domain point, with small integers
+    A and B.  `classes` lists the (A, B) that occur; the points of class j,
+    as row-major flat indices into the domain, are
+    ``points[start[j]:start[j + 1]]``, in increasing order."""
+
+    classes: tuple[tuple[int, int], ...]
+    points: np.ndarray
+    start: np.ndarray
+
+
+def _census(a: np.ndarray, b: np.ndarray) -> _Census:
+    """Group a domain's points by their key (A, B), given as int16 arrays."""
+    width = int(b.max()) + 1
+    key = (a * width + b).ravel()
+    counts = np.bincount(key)
+    present = np.flatnonzero(counts)
+    start = np.zeros(len(present) + 1, dtype=np.int64)
+    np.cumsum(counts[present], out=start[1:])
+    points = np.argsort(key, kind="stable").astype(np.int32)
+    classes = tuple(divmod(int(k), width) for k in present)
+    return _Census(classes, _frozen(points), _frozen(start))
+
+
+def _best(census: _Census, d: Fraction, const: Fraction | int) -> tuple[Fraction, np.ndarray]:
+    """The minimum of d A + B + const over the census's domain, and the
+    points attaining it in increasing order: each class is scored in exact
+    integers (num A + den B for d = num/den) and only the winners' points
+    are read."""
+    num, den = d.numerator, d.denominator
+    scores = [num * a + den * b for a, b in census.classes]
+    best = min(scores)
+    hits = [census.points[census.start[j] : census.start[j + 1]] for j, s in enumerate(scores) if s == best]
+    return Fraction(best, den) + const, np.sort(np.concatenate(hits))
+
+
+def _perms_at(p: int, idxs: np.ndarray) -> list[Permutation]:
+    return [Permutation(tuple(row)) for row in group_table(2 * p).perms[idxs].tolist()]
+
+
+@lru_cache(maxsize=16)
+def _single_census(p: int, target: Permutation) -> _Census:
+    """Census of d|beta| + |beta target^{-1}| + |beta delta| over S_{2p}."""
+    _, delta, _ = make_gamma_delta(p)
+    return _census(_lengths(p), _lengths(p, target.inverse()) + _lengths(p, delta))
 
 
 def _minimize_single(problem: str, p: int, d, target: Permutation) -> ExponentReport:
     d = as_fraction(d)
-    num, den = d.numerator, d.denominator
-    _, delta, _ = make_gamma_delta(p)
-    lengths = _length_table(p)
-    len_target = _length_after(p, target.inverse())
-    len_delta = _length_after(p, delta)
-    scaled = num * lengths + den * (len_target + len_delta) - den * p
-    best = int(scaled.min())
-    idxs = np.nonzero(scaled == best)[0]
-    return ExponentReport(
-        problem=problem,
-        p=p,
-        d=d,
-        minimum=Fraction(best, den),
-        minimizers=tuple(_perm_at(p, int(i)) for i in idxs),
-    )
+    minimum, points = _best(_single_census(p, target), d, -p)
+    return ExponentReport(problem=problem, p=p, d=d, minimum=minimum, minimizers=tuple(_perms_at(p, points)))
 
 
 def minimize_S2(p: int, d, max_order: int = 4) -> ExponentReport:
     """Exhaustive minimization of S2(beta) = d|beta| + |beta gtilde^{-1}|
-    + |beta delta| - p over S_{2p}."""
+    + |beta delta| - p over S_{2p}.
+
+    Answered from the order's census of at most 36 classes.  On a 2-vCPU
+    VM that costs about 2 ms once per order at p = 4 (S_8's table aside),
+    then 25-45 us a call."""
     if p > max_order:
         raise ValueError(f"p={p} exceeds the cap {max_order}")
     _, _, gtilde = make_gamma_delta(p)
@@ -359,11 +399,22 @@ def minimize_S2(p: int, d, max_order: int = 4) -> ExponentReport:
 
 def minimize_S1(p: int, d, max_order: int = 4) -> ExponentReport:
     """Exhaustive minimization of S1(beta) = d|beta| + |beta gamma^{-1}|
-    + |beta delta| - p over S_{2p}."""
+    + |beta delta| - p over S_{2p}.
+
+    Cost as for `minimize_S2`."""
     if p > max_order:
         raise ValueError(f"p={p} exceeds the cap {max_order}")
     gamma, _, _ = make_gamma_delta(p)
     return _minimize_single("S1", p, d, gamma)
+
+
+@lru_cache(maxsize=4)
+def _pair_census(p: int) -> _Census:
+    """Census of S over S_{2p}^2: A = |alpha| + |alpha beta^{-1}|,
+    B = |alpha gamma^{-1}| + |beta delta| + |alpha beta^{-1}|."""
+    gamma, delta, _ = make_gamma_delta(p)
+    pair = _pair_length_matrix(p)
+    return _census(_lengths(p)[:, None] + pair, (_lengths(p, gamma.inverse())[:, None] + _lengths(p, delta)) + pair)
 
 
 def minimize_S(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> ExponentReport:
@@ -372,28 +423,36 @@ def minimize_S(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> ExponentReport
     + (d+1)|alpha beta^{-1}| - p.
 
     At d = 1 this is the exponent of the generalized linear model, so the
-    same search answers both regimes.
+    same search answers both regimes.  Answered from the order's census of
+    at most 53 classes.  On a 2-vCPU VM that costs about 25 ms once at
+    p = 3 (the pair lengths over S_6^2, then one stable sort of the keys),
+    then 20-80 us a call.
     """
     if p > max_order:
         raise ValueError(f"p={p} exceeds the pair-search cap {max_order}")
     d = as_fraction(d)
-    num, den = d.numerator, d.denominator
-    gamma, delta, _ = make_gamma_delta(p)
-    lengths = _length_table(p)
-    len_gamma = _length_after(p, gamma.inverse())
-    len_delta = _length_after(p, delta)
-    pair_len = _pair_length_matrix(p).astype(np.int64)
-    scaled = (
-        num * lengths[:, None]
-        + den * len_gamma[:, None]
-        + den * len_delta[None, :]
-        + (num + den) * pair_len
-        - den * p
-    )
-    best = int(scaled.min())
-    rows, cols = np.nonzero(scaled == best)
-    minimizers = tuple((_perm_at(p, int(a)), _perm_at(p, int(b))) for a, b in zip(rows, cols))
-    return ExponentReport(problem="S", p=p, d=d, minimum=Fraction(best, den), minimizers=minimizers)
+    minimum, points = _best(_pair_census(p), d, -p)
+    alphas, betas = np.divmod(points, len(group_table(2 * p).perms))
+    minimizers = tuple(zip(_perms_at(p, alphas), _perms_at(p, betas)))
+    return ExponentReport(problem="S", p=p, d=d, minimum=minimum, minimizers=minimizers)
+
+
+@lru_cache(maxsize=4)
+def _pinched_pair_census(p: int) -> tuple[_Census, np.ndarray, np.ndarray]:
+    """Census of the pinched problem over the pairs with alpha outside V,
+    row alpha by row; with, per row, alpha's index in S_{2p} and the bit
+    mask (bit i for the i-th of `choice_functions(p)`) of the f attaining
+    min_f (#Bell(f) + |alpha f_hat^{-1}|).  That minimum does not depend on
+    d, so it is taken here once and enters B."""
+    _, delta, _ = make_gamma_delta(p)
+    g = group_table(2 * p)
+    rows = np.flatnonzero(~(g.perms[:, list(delta.images)] == np.arange(2 * p, dtype=np.uint8)).any(axis=1))
+    cost = np.array([f.bell_count + _lengths(p, choice_to_permutation(f).inverse())[rows] for f in choice_functions(p)])
+    least = cost.min(axis=0)
+    choices = ((cost == least) << np.arange(len(cost))[:, None]).sum(axis=0)
+    pair = _pair_length_matrix(p)[rows]
+    census = _census(_lengths(p)[rows, None] + pair, (least[:, None] + _lengths(p, delta)) + pair)
+    return census, _frozen(rows), _frozen(choices)
 
 
 def minimize_S_pinched(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> ExponentReport:
@@ -403,52 +462,29 @@ def minimize_S_pinched(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> Expone
     over choice functions and pairs with alpha outside the cancellation set V.
 
     The constant is -p(2d+1) + 2d for d in (0,1) and -3p + 2 for d in (1,2);
-    in both regimes the minimum is 0.
+    in both regimes the minimum is 0.  Minimizers are the (f, alpha, beta)
+    with (alpha, beta) optimal for the pair problem in which #Bell +
+    |alpha f_hat^{-1}| is minimized over f, and f among alpha's minimizing
+    choices, listed f by f.  Answered from the order's census of at most 52
+    classes.  On a 2-vCPU VM that costs about 3 ms once at p = 3 when
+    `minimize_S` has built the pair lengths (15 ms more otherwise), then
+    about 90 us a call.
     """
     if p > max_order:
         raise ValueError(f"p={p} exceeds the pair-search cap {max_order}")
     d = as_fraction(d)
     if not (0 < d < 1 or 1 < d < 2):
         raise ValueError("the pinched exponent is defined for d in (0,1) or (1,2)")
-    num, den = d.numerator, d.denominator
-    _, delta, _ = make_gamma_delta(p)
-    g = group_table(2 * p)
-    lengths = _length_table(p)
-    len_delta = _length_after(p, delta)
-    pair_len = _pair_length_matrix(p).astype(np.int64)
-
-    fixed = g.perms[:, list(delta.images)] == np.arange(2 * p, dtype=np.uint8)[None, :]
-    outside_v = ~fixed.any(axis=1)
-    keep = np.nonzero(outside_v)[0]
-
-    if 0 < d < 1:
-        const = -p * (2 * num + den) + 2 * num
-    else:
-        const = (-3 * p + 2) * den
-
-    best: int | None = None
-    hits: list[tuple[ChoiceFunction, int, int]] = []
-    for f in choice_functions(p):
-        f_hat = choice_to_permutation(f)
-        len_fhat = _length_after(p, f_hat.inverse())
-        row_part = num * lengths[keep] + den * (f.bell_count + len_fhat[keep])
-        scaled = (
-            row_part[:, None]
-            + den * len_delta[None, :]
-            + (num + den) * pair_len[keep, :]
-            + const
-        )
-        local = int(scaled.min())
-        if best is None or local < best:
-            best = local
-            hits = []
-        if local == best:
-            rows, cols = np.nonzero(scaled == best)
-            hits.extend((f, int(keep[a]), int(b)) for a, b in zip(rows, cols))
-    minimizers = tuple((f, _perm_at(p, a), _perm_at(p, b)) for f, a, b in hits)
-    return ExponentReport(
-        problem="S_pinched", p=p, d=d, minimum=Fraction(best, den), minimizers=minimizers
-    )
+    census, rows, choices = _pinched_pair_census(p)
+    const = 2 * d - p * (2 * d + 1) if d < 1 else Fraction(2 - 3 * p)
+    minimum, points = _best(census, d, const)
+    row, betas = np.divmod(points, len(group_table(2 * p).perms))
+    alphas, masks = rows[row], choices[row]
+    minimizers = []
+    for bit, f in enumerate(choice_functions(p)):
+        pick = (masks >> bit) & 1 == 1
+        minimizers += [(f, a, b) for a, b in zip(_perms_at(p, alphas[pick]), _perms_at(p, betas[pick]))]
+    return ExponentReport(problem="S_pinched", p=p, d=d, minimum=minimum, minimizers=tuple(minimizers))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 #: Largest group degree `m` that `all_permutations` enumerates by default and
 #: `group_table` builds.  Only the exact moments' census and the exponent
 #: minimizations read a table, that of S_2p, so they stop at p = 4.  S_8 has
-#: 40320 elements; the table's radix index holds m**m entries, 67 MB at m = 8.
+#: 40320 elements.
 DEFAULT_ENUMERATION_CAP = 8
 #: Non-crossing partition enumeration cap; NC(12) has 208012 elements.
 DEFAULT_NC_CAP = 12
@@ -423,8 +423,6 @@ class GroupTable:
     inverse: np.ndarray  # (m!,) int32: index of the inverse
     ncycles: np.ndarray  # (m!,) int64: number of cycles
     cls: np.ndarray  # (m!,) int64: conjugacy class as an index into partitions(m)
-    radix: np.ndarray  # (m,) int64
-    index_of_rank: np.ndarray  # (m**m,) int32: element index of each radix rank
 
 
 @lru_cache(maxsize=None)
@@ -435,12 +433,8 @@ def group_table(m: int) -> GroupTable:
     perms_list = list(itertools.permutations(range(m)))
     n_elems = len(perms_list)
     perms = np.array(perms_list, dtype=np.uint8)
-    radix = (m ** np.arange(m)).astype(np.int64)
-    ranks = perms.astype(np.int64) @ radix
-    index_of_rank = np.full(m**m, -1, dtype=np.int32)
-    index_of_rank[ranks] = np.arange(n_elems, dtype=np.int32)
     # argsort of a row of one-line images is the row of its inverse
-    inverse = index_of_rank[np.argsort(perms, axis=1) @ radix]
+    inverse = index_of(np.argsort(perms, axis=1))
 
     class_of = {parts: idx for idx, parts in enumerate(partitions(m))}
     ncycles = np.empty(n_elems, dtype=np.int64)
@@ -460,17 +454,29 @@ def group_table(m: int) -> GroupTable:
             lens.append(d)
         ncycles[idx] = len(lens)
         cls[idx] = class_of[tuple(sorted(lens, reverse=True))]
-    return GroupTable(perms, inverse, ncycles, cls, radix, index_of_rank)
+    return GroupTable(perms, inverse, ncycles, cls)
 
 
-def index_of(table: GroupTable, rows: np.ndarray) -> np.ndarray:
-    """Element index of each row of one-line notations in `rows`."""
-    return table.index_of_rank[rows.astype(np.int64) @ table.radix]
+def index_of(rows: np.ndarray) -> np.ndarray:
+    """Element index in `group_table(m)` of each row of one-line notations
+    (last axis of `rows`, length m), as int32.  The table lists S_m in
+    lexicographic order, so the index is the row's lexicographic rank: its
+    Lehmer code (per position, how many later images are smaller) read in the
+    factorial base."""
+    m = rows.shape[-1]
+    cols = [np.ascontiguousarray(rows[..., j]) for j in range(m)]
+    index = np.zeros(rows.shape[:-1], dtype=np.int32)
+    for i in range(m - 1):
+        smaller = np.zeros(rows.shape[:-1], dtype=np.uint8)
+        for j in range(i + 1, m):
+            smaller += cols[j] < cols[i]
+        index += smaller * np.int32(math.factorial(m - 1 - i))
+    return index
 
 
 def cycles_after(table: GroupTable, right_images: tuple[int, ...]) -> np.ndarray:
     """#(beta . right) for every beta in the table, where right acts first."""
-    return table.ncycles[index_of(table, table.perms[:, list(right_images)])]
+    return table.ncycles[index_of(table.perms[:, list(right_images)])]
 
 
 def class_census(m: int, rights: list[tuple[int, ...]]) -> np.ndarray:

@@ -93,6 +93,8 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--drop-largest", "3"],
         ["simulate", "--n", "8", "--trials", "0", "--seed", "1"],
         ["entropy", "--d", "0", "--c", "2", "--n-list", "8", "--trials", "0", "--seed", "1"],
+        ["minimize", "--p", "0", "--d", "1"],
+        ["minimize", "--p", "-1", "--d", "1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +10,13 @@ from hypothesis import strategies as st
 from wgchan import perm
 from wgchan.moments import (
     ChoiceFunction,
+    ExponentReport,
     RegimeParams,
     _class_census,
+    _pair_census,
+    _pair_length_matrix,
+    _pinched_pair_census,
+    _single_census,
     asymptotic_moment_conjugate,
     choice_functions,
     choice_to_permutation,
@@ -344,6 +350,99 @@ def test_minimizers_attain_minimum():
             - p
         )
         assert value == r.minimum
+
+
+@lru_cache(maxsize=None)
+def _brute_points(problem, p):
+    """Every domain point of a minimization with the lengths its documented
+    objective reads, from `Permutation` arithmetic alone, in the documented
+    minimizer order: S_2p in `all_permutations` order, pairs row-major, and
+    pinched triples choice function first, alpha outside V."""
+    gamma, delta, gtilde = make_gamma_delta(p)
+    perms = list(all_permutations(2 * p))
+    if problem in ("S1", "S2"):
+        target = (gamma if problem == "S1" else gtilde).inverse()
+        return [(b, (b.length(), (b * target).length(), (b * delta).length())) for b in perms]
+    if problem == "S":
+        ginv = gamma.inverse()
+        return [
+            ((a, b), (a.length(), (a * ginv).length(), (b * delta).length(), (a * b.inverse()).length()))
+            for a in perms
+            for b in perms
+        ]
+    outside_v = [a for a in perms if all((a * delta)(x) != x for x in range(2 * p))]
+    return [
+        (
+            (f, a, b),
+            ((b * delta).length(), a.length(), (a * b.inverse()).length(), f.bell_count,
+             (a * choice_to_permutation(f).inverse()).length()),
+        )
+        for f in choice_functions(p)
+        for a in outside_v
+        for b in perms
+    ]
+
+
+def _brute_objective(problem, p, d, x):
+    if problem in ("S1", "S2"):
+        return d * x[0] + x[1] + x[2] - p
+    if problem == "S":
+        return d * x[0] + x[1] + x[2] + (d + 1) * x[3] - p
+    const = -p * (2 * d + 1) + 2 * d if d < 1 else -3 * p + 2
+    return x[0] + d * x[1] + (d + 1) * x[2] + x[3] + x[4] + const
+
+
+_MINIMIZE = {"S1": minimize_S1, "S2": minimize_S2, "S": minimize_S, "S_pinched": minimize_S_pinched}
+_ANY_D = st.fractions(min_value=-3, max_value=4, max_denominator=6)
+_PINCHED_D = st.fractions(min_value=0, max_value=2, max_denominator=12).filter(lambda d: d not in (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "problem, p", [("S1", 1), ("S1", 2), ("S1", 3), ("S2", 1), ("S2", 2), ("S2", 3), ("S", 1), ("S", 2),
+                   ("S_pinched", 1), ("S_pinched", 2)]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_minimizations_match_bruteforce_objectives(problem, p, data):
+    # the whole report, minimizer order included, against the documented
+    # objective evaluated point by point in Fractions
+    d = data.draw(_PINCHED_D if problem == "S_pinched" else _ANY_D)
+    values = [(point, _brute_objective(problem, p, d, x)) for point, x in _brute_points(problem, p)]
+    minimum = min(v for _, v in values)
+    want = ExponentReport(problem, p, d, minimum, tuple(point for point, v in values if v == minimum))
+    assert _MINIMIZE[problem](p, d) == want
+
+
+def _tie_probes(census):
+    """0, every positive d at which two classes of `census` tie, the
+    midpoints between consecutive ones, and one point past the last: the
+    minimizer set is constant between tie points, so these cover all d >= 0."""
+    ties = sorted(
+        {Fraction(bj - bi, ai - aj) for (ai, bi), (aj, bj) in itertools.combinations(census.classes, 2) if ai != aj}
+    )
+    ties = [t for t in ties if t > 0]
+    mids = [(x + y) / 2 for x, y in zip([Fraction(0), *ties], ties)]
+    return [Fraction(0), *ties, *mids, (ties[-1] if ties else 0) + 1]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_reference_tables_hold_for_every_d(p):
+    gamma, _, gtilde = make_gamma_delta(p)
+    for minimize, reference, target in ((minimize_S1, reference_S1, gamma), (minimize_S2, reference_S2, gtilde)):
+        for d in _tie_probes(_single_census(p, target)):
+            report = minimize(p, d)
+            assert (report.minimum, report.minimizer_set()) == reference(p, d), (minimize.__name__, p, d)
+
+
+def test_minimization_caches_are_read_only():
+    gamma, _, _ = make_gamma_delta(2)
+    pinched, rows, choices = _pinched_pair_census(2)
+    arrays = [_pair_length_matrix(2), rows, choices]
+    for census in (_single_census(2, gamma), _pair_census(2), pinched):
+        arrays += [census.points, census.start]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_rescaled_p2_moment_trend_b1():

@@ -238,5 +238,5 @@ def test_group_table_matches_permutation_objects(data):
     assert table.ncycles[i] == a.num_cycles
     assert partitions(m)[table.cls[i]] == a.cycle_type().parts
     assert tuple(int(x) for x in table.perms[table.inverse[i]]) == a.inverse().images
-    composed = index_of(table, table.perms[i][table.perms[j]][None, :])[0]
+    composed = index_of(table.perms[i][table.perms[j]][None, :])[0]
     assert tuple(int(x) for x in table.perms[composed]) == compose(a, b).images
