@@ -16,6 +16,11 @@ Seeding: a command with seed S runs trial t on the stream
 output drawn from the single sequential stream ``default_rng(S)`` (batched
 moment estimates), so adding trials extends a sweep without reshuffling
 earlier trials.
+
+At module level only the standard library is imported; each command imports
+the layers it runs (``wg`` only ``weingarten``, ``exact-moments`` and
+``minimize`` only ``moments``), so building the parser, ``--help``, usage
+errors and the checks this module makes itself never load numpy.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import freeprob, moments, montecarlo
-from .moments import RegimeParams, as_fraction
-from .montecarlo import ChannelSpec
-from .weingarten import wg_exact
+if TYPE_CHECKING:
+    from .moments import RegimeParams
+    from .montecarlo import ChannelSpec
 
 SCHEMA_VERSION = "wgchan-schema v1"
 
@@ -120,7 +125,19 @@ def _parse_d(text: str) -> Fraction:
         raise CliError(f"cannot parse d={text!r} as a rational number") from exc
 
 
+def _check_positive_finite(option: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise CliError(f"{option} must be finite and > 0, got {value}")
+
+
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise CliError(f"--threads must be >= 1, got {threads}")
+
+
 def _spec_for_regime(n: int, c: Fraction, d: Fraction, t: Fraction | None, flavor: str) -> ChannelSpec:
+    from .montecarlo import ChannelSpec
+
     if d == 0:
         if c.denominator != 1:
             raise CliError("d=0 needs an integer ancilla dimension c")
@@ -142,6 +159,13 @@ def _spec_for_regime(n: int, c: Fraction, d: Fraction, t: Fraction | None, flavo
 # commands
 
 
+def wg_exact(n: int, p: int):
+    """`weingarten.wg_exact`, imported on the first call."""
+    from . import weingarten
+
+    return weingarten.wg_exact(n, p)
+
+
 def cmd_wg(args) -> int:
     if args.n < args.p:
         raise CliError(f"n < p ({args.n} < {args.p}): Weingarten table undefined")
@@ -157,6 +181,8 @@ def cmd_wg(args) -> int:
 def cmd_exact_moments(args) -> int:
     if args.pinched and args.m is not None:
         raise CliError("--m does not apply to --pinched, which is defined at m = n")
+    from . import moments
+
     m = args.n if args.m is None else args.m
     config = {
         "command": "exact-moments",
@@ -181,6 +207,8 @@ def cmd_exact_moments(args) -> int:
 
 
 def _render_minimizers(report) -> str:
+    from . import moments
+
     names = []
     gamma, delta, gtilde = moments.make_gamma_delta(report.p)
     ident = moments.identity(2 * report.p)
@@ -203,6 +231,8 @@ def _label_one(entry, labels) -> str:
 def cmd_minimize(args) -> int:
     if args.p < 1:
         raise CliError(f"p={args.p} must be >= 1")
+    from . import moments
+
     if args.p > moments.DEFAULT_PAIR_ORDER:
         raise CliError(f"p={args.p} exceeds the pair-search cap {moments.DEFAULT_PAIR_ORDER}")
     d_values = [_parse_d(text) for text in args.d]
@@ -242,6 +272,10 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_threads(args.threads)
+    from . import montecarlo
+    from .moments import as_fraction
+
     spec = _spec_for_regime(args.n, as_fraction(args.c), _parse_d(args.d), _parse_t(args.t), args.flavor)
     config = {
         "command": "simulate",
@@ -308,7 +342,18 @@ def _parse_t(text):
 
 def cmd_compare(args) -> int:
     m = args.n if args.m is None else args.m
-    spec = ChannelSpec(n=args.n, k=args.k, m=m, flavor=args.flavor)
+    if args.pinched and args.flavor != "conjugate":
+        raise CliError("pinched comparison is defined for the conjugate flavor")
+    if args.pinched and m != args.n:
+        raise CliError(f"pinched comparison is defined at m = n, got m={m} with n={args.n}")
+    if args.strict and args.trials < 2:
+        raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
+    _check_positive_finite("--z-threshold", args.z_threshold)
+    _check_positive_finite("--rescale", args.rescale)
+    from . import montecarlo
+    from .moments import RegimeParams
+
+    spec = montecarlo.ChannelSpec(n=args.n, k=args.k, m=m, flavor=args.flavor)
     config = {
         "command": "compare",
         "flavor": spec.flavor,
@@ -320,12 +365,6 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "pinched": args.pinched,
     }
-    if args.pinched and spec.flavor != "conjugate":
-        raise CliError("pinched comparison is defined for the conjugate flavor")
-    if args.pinched and spec.m != spec.n:
-        raise CliError(f"pinched comparison is defined at m = n, got m={spec.m} with n={spec.n}")
-    if args.strict and args.trials < 2:
-        raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
     montecarlo.validate_moment_args(args.p_max, args.trials)
     exacts = [_exact_moment(spec, p, args.pinched) for p in range(1, args.p_max + 1)]
     if args.strict and None in exacts:
@@ -371,6 +410,8 @@ def cmd_compare(args) -> int:
 def _exact_moment(spec: ChannelSpec, p: int, pinched: bool) -> Fraction | None:
     """Exact E tr(Z^p) (or of QZQ), or None where no exact sum applies: the
     independent flavor, or an order the conjugate sums do not accept."""
+    from . import moments
+
     if spec.flavor != "conjugate":
         return None
     try:
@@ -382,6 +423,8 @@ def _exact_moment(spec: ChannelSpec, p: int, pinched: bool) -> Fraction | None:
 
 
 def _theory_moment(spec: ChannelSpec, regime: RegimeParams, p: int, pinched: bool) -> float | None:
+    from . import freeprob, moments
+
     if pinched or spec.flavor == "independent":
         # spectrum ~ free Poisson of parameter c^2 at scale c^2 n^2 = k^2:
         # E tr(Z^p) ~ n^2 * moment / k^(2p)
@@ -401,6 +444,10 @@ def _z(mean: float, stderr: float, reference: float) -> float:
 
 
 def cmd_entropy(args) -> int:
+    _check_threads(args.threads)
+    from . import freeprob, montecarlo
+    from .moments import RegimeParams, as_fraction
+
     d = _parse_d(args.d)
     c = as_fraction(args.c)
     t = _parse_t(args.t)

@@ -757,8 +757,8 @@ def ensemble_settings(
         drop_largest = 1 if spec.flavor == "conjugate" else 0
     if full_spectrum is None:
         full_spectrum = min(spec.n, spec.k) ** 2 <= FULL_SPECTRUM_CAP
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive")
     if not 0 <= drop_largest <= (2 if full_spectrum else 1):
         raise ValueError(
             "drop_largest must be in {0, 1, 2}" if full_spectrum else "drop_largest must be 0 or 1 on the trace route"

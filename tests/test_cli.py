@@ -95,6 +95,16 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["entropy", "--d", "0", "--c", "2", "--n-list", "8", "--trials", "0", "--seed", "1"],
         ["minimize", "--p", "0", "--d", "1"],
         ["minimize", "--p", "-1", "--d", "1"],
+        *[
+            ["compare", "--n", "3", "--k", "3", "--trials", "10", "--seed", "1", "--strict", option, value]
+            for option in ("--z-threshold", "--rescale")
+            for value in ("-1", "0", "nan", "inf")
+        ],
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--scale", "inf"],
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--scale", "nan"],
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "0"],
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "-2"],
+        ["entropy", "--d", "1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1", "--threads", "0"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):

@@ -1,0 +1,139 @@
+"""Import structure: `import wgchan` loads no layer, each exported name loads
+its own layer on first use, and each CLI command loads only the layers it
+runs.  Every check runs in a fresh interpreter, since the test process has
+long since imported everything."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wgchan
+
+EXPORTS = {
+    "perm": [
+        "CycleType", "LabeledIndex", "Permutation", "all_permutations", "compose", "cycle_type",
+        "distance", "geodesics", "identity", "is_geodesic", "length", "make_gamma_delta", "mobius",
+        "non_crossing_partitions", "transposition",
+    ],
+    "weingarten": [
+        "IndexTuple", "McEstimate", "WgTable", "haar_moment", "haar_moment_mc", "wg_asymptotic",
+        "wg_cycle_exact", "wg_exact",
+    ],
+    "moments": [
+        "ChoiceFunction", "ExponentReport", "MomentPrediction", "RegimeParams",
+        "asymptotic_moment_conjugate", "choice_functions", "choice_to_permutation",
+        "exact_moment_conjugate", "exact_moment_pinched", "minimize_S", "minimize_S1", "minimize_S2",
+        "minimize_S_pinched", "reference_S1", "reference_S2", "vanishing_cancellation_check",
+    ],
+    "montecarlo": [
+        "ChannelSpec", "DensityMatrix", "EnsembleReport", "FactoredDensityMatrix", "SpectralReport",
+        "apply_channel", "bell_state", "conjugate_spec", "independent_spec", "moment_ensemble",
+        "product_output", "run_ensemble", "sample_haar", "spectral_report",
+    ],
+    "freeprob": [
+        "EntropyPrediction", "MarchenkoPastur", "entropy_prediction", "gamma_t_vector", "mp_density",
+        "mp_entropy_integral", "mp_moment", "naive_bound", "vn_entropy",
+    ],
+}
+
+LAYERS = ["perm", "weingarten", "moments", "montecarlo", "freeprob"]
+
+
+def run_fresh(script: str) -> None:
+    """Run `script` in a new interpreter on this checkout's source."""
+    prelude = f"import sys\nLAYERS = {LAYERS!r}\n"
+    prelude += "def loaded():\n    return sorted(m for m in LAYERS if 'wgchan.' + m in sys.modules)\n"
+    src = str(Path(wgchan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_wgchan_loads_no_layer():
+    run_fresh(
+        """
+import wgchan
+assert loaded() == [], loaded()
+assert "numpy" not in sys.modules
+"""
+    )
+
+
+def test_exports_resolve_to_their_modules():
+    run_fresh(
+        f"""
+import importlib
+import wgchan
+from wgchan import wg_exact
+assert loaded() == ["perm", "weingarten"], loaded()
+assert wg_exact is importlib.import_module("wgchan.weingarten").wg_exact
+for module, names in {EXPORTS!r}.items():
+    layer = importlib.import_module("wgchan." + module)
+    for name in names:
+        assert getattr(wgchan, name) is getattr(layer, name), name
+        assert name in dir(wgchan), name
+try:
+    wgchan.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+"""
+    )
+
+
+def test_help_usage_errors_and_cli_checks_load_no_numpy():
+    run_fresh(
+        """
+import contextlib
+import io
+import runpy
+for argv, code in (
+    (["--help"], 0),
+    (["wg", "--help"], 0),
+    (["wg", "--n", "x", "--p", "2"], 2),
+    (["no-such-command"], 2),
+    (["wg", "--n", "2", "--p", "5"], 2),
+    (["minimize", "--p", "0", "--d", "1"], 2),
+    (["compare", "--n", "3", "--k", "3", "--trials", "9", "--seed", "1", "--z-threshold", "nan"], 2),
+    (["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "0"], 2),
+):
+    sys.argv = ["wgchan", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("wgchan.cli", run_name="__main__")
+        except SystemExit as exc:
+            assert exc.code == code, (argv, exc.code)
+        else:
+            raise AssertionError(f"{argv} did not exit")
+    assert "numpy" not in sys.modules, argv
+    assert loaded() == [], (argv, loaded())
+"""
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["wg", "--n", "9", "--p", "7"], ["perm", "weingarten"]),
+        (["exact-moments", "--n", "3", "--k", "3", "--p-max", "3", "--pinched"], ["moments", "perm", "weingarten"]),
+        (["minimize", "--p", "2", "--d", "1", "--check-tables"], ["moments", "perm", "weingarten"]),
+    ],
+    ids=["wg", "exact-moments", "minimize"],
+)
+def test_exact_commands_load_only_their_layers(argv, layers):
+    run_fresh(
+        f"""
+import contextlib
+import io
+import wgchan.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert wgchan.cli.main({argv!r}) == 0
+assert loaded() == {layers!r}, loaded()
+"""
+    )
