@@ -497,10 +497,21 @@ COMPARE_GOLDEN_CASES = [
     ("compare_conj_n4_k3_m6_json", [*_CMP, "--p-max", "3", "--n", "4", "--k", "3", "--m", "6", "--format", "json"]),
     ("compare_indep_n3_k3_csv", [*_CMP, "--p-max", "3", "--flavor", "independent", "--n", "3", "--k", "3"]),
 ]
+_D0 = ["--c", "2", "--d", "0", "--t", "1/2", "--trials", "3", "--seed", "8", "--format", "json"]
+ENSEMBLE_GOLDEN_CASES = [
+    ("simulate_full_n8_csv", ["simulate", "--n", "8", "--c", "1/2", "--trials", "4", "--seed", "2"]),
+    # min(n, k)^2 = 3136 > FULL_SPECTRUM_CAP: trace powers and Lanczos, no entropy column
+    ("simulate_trace_n56_csv", ["simulate", "--n", "56", "--trials", "3", "--seed", "5"]),
+    ("simulate_indep_n6_csv", ["simulate", "--flavor", "independent", "--n", "6", "--trials", "3", "--seed", "4"]),
+    ("simulate_d0_t_json", ["simulate", "--n", "16", *_D0]),
+    ("simulate_one_trial_csv", ["simulate", "--n", "8", "--trials", "1", "--seed", "6"]),
+    ("entropy_full_csv", ["entropy", "--d", "1", "--c", "1/2", "--n-list", "8,12", "--trials", "4", "--seed", "3"]),
+    ("entropy_d0_t_json", ["entropy", "--n-list", "8,16", *_D0]),
+    ("entropy_one_trial_csv", ["entropy", "--d", "1", "--c", "1", "--n-list", "6", "--trials", "1", "--seed", "6"]),
+]
 
 
-@pytest.mark.parametrize("name, argv", COMPARE_GOLDEN_CASES, ids=[case[0] for case in COMPARE_GOLDEN_CASES])
-def test_compare_golden_outputs(name, argv):
+def _assert_seeded_golden(name, argv):
     src = str(Path(wgchan.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -510,3 +521,13 @@ def test_compare_golden_outputs(name, argv):
     done = subprocess.run([sys.executable, "-m", "wgchan.cli", *argv], env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", COMPARE_GOLDEN_CASES, ids=[case[0] for case in COMPARE_GOLDEN_CASES])
+def test_compare_golden_outputs(name, argv):
+    _assert_seeded_golden(name, argv)
+
+
+@pytest.mark.parametrize("name, argv", ENSEMBLE_GOLDEN_CASES, ids=[case[0] for case in ENSEMBLE_GOLDEN_CASES])
+def test_ensemble_golden_outputs(name, argv):
+    _assert_seeded_golden(name, argv)
