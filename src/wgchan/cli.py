@@ -6,10 +6,12 @@ they are produced, written by ``csv.writer``) or strict JSON (one document
 with config, rows, schema_version; NaN and infinities become null).
 Floats are printed with 17 significant digits so they round-trip exactly.
 Exit codes: 0 success, 1 reference-table mismatch, 2 invalid input, 3
-strict-mode statistical failure.  Numeric arguments are checked before any
-output, so invalid input prints nothing to stdout and creates no --out
-file.  ``compare --strict`` gates on the exact column only, so it refuses
-(exit 2) a run in which some order up to ``--p-max`` has no exact value.
+strict-mode statistical failure.  Numeric arguments, the rationals --c, --d
+and --t included, are checked before any output, so invalid input prints
+nothing to stdout and creates no --out file.  ``compare --strict`` gates on
+the exact column only, so it refuses (exit 2) a run in which some order up
+to ``--p-max`` has no exact value.  Every ensemble command prints the
+standard error of a single trial as nan (JSON null).
 
 Seeding: a command with seed S runs trial t on the stream
 ``numpy.random.default_rng([S, t])`` (ensemble commands) or as the t-th
@@ -65,43 +67,12 @@ def _json_value(value):
     return value
 
 
-class Writer:
-    def __init__(self, columns: list[str], fmt: str, out, config: dict):
-        self.columns = columns
-        self.fmt = fmt
-        self.out = out
-        self.config = config
-        self.rows: list[dict] = []
-        if fmt == "csv":
-            self.csv = csv.writer(out, lineterminator="\n")
-            self.out.write(f"# {SCHEMA_VERSION}\n")
-            self.csv.writerow(columns)
-            self.out.flush()
-
-    def row(self, values: dict) -> None:
-        if self.fmt == "csv":
-            self.csv.writerow([_fmt(values.get(col)) for col in self.columns])
-            self.out.flush()
-        else:
-            self.rows.append({col: _json_value(values.get(col)) for col in self.columns})
-
-    def close(self) -> None:
-        if self.fmt == "json":
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "config": self.config,
-                "rows": self.rows,
-            }
-            json.dump(doc, self.out, indent=2)
-            self.out.write("\n")
-            self.out.flush()
-
-
 @contextmanager
 def _writer(args, columns: list[str], config: dict):
-    """A Writer on --out (default stdout), closed on exit.  The JSON document
-    is written only when the command returns normally, so a run that fails
-    part-way leaves no document that parses; CSV rows stream as they come."""
+    """Open --out (default stdout) and yield a function that writes one row
+    from a dict, reading only `columns`.  CSV rows stream as they come; the
+    JSON document is written only when the command returns normally, so a
+    run that fails part-way leaves no document that parses."""
     if args.out is None:
         out = sys.stdout
     else:
@@ -109,20 +80,40 @@ def _writer(args, columns: list[str], config: dict):
             out = open(args.out, "w")
         except OSError as exc:
             raise CliError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
-    writer = Writer(columns, args.format, out, config)
+    rows: list[dict] = []
+    table = csv.writer(out, lineterminator="\n")
+
+    def row(values: dict) -> None:
+        if args.format == "csv":
+            table.writerow([_fmt(values.get(col)) for col in columns])
+            out.flush()
+        else:
+            rows.append({col: _json_value(values.get(col)) for col in columns})
+
     try:
-        yield writer
-        writer.close()
+        if args.format == "csv":
+            out.write(f"# {SCHEMA_VERSION}\n")
+            table.writerow(columns)
+            out.flush()
+        yield row
+        if args.format == "json":
+            json.dump({"schema_version": SCHEMA_VERSION, "config": config, "rows": rows}, out, indent=2)
+            out.write("\n")
+            out.flush()
     finally:
         if out is not sys.stdout:
             out.close()
 
 
-def _parse_d(text: str) -> Fraction:
+def _rational(option: str, text: str | None) -> Fraction | None:
+    """The exact rational that `text` spells, such as 4/3 or 0.5 (None
+    stays None); anything else, 1/0 included, is invalid input."""
+    if text is None:
+        return None
     try:
         return Fraction(text)
-    except ValueError as exc:
-        raise CliError(f"cannot parse d={text!r} as a rational number") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"cannot parse {option}={text!r} as a rational number") from exc
 
 
 def _check_positive_finite(option: str, value: float) -> None:
@@ -171,10 +162,10 @@ def cmd_wg(args) -> int:
         raise CliError(f"n < p ({args.n} < {args.p}): Weingarten table undefined")
     table = wg_exact(args.n, args.p)
     config = {"command": "wg", "n": args.n, "p": args.p}
-    with _writer(args, ["cycle_type", "wg", "wg_float"], config) as writer:
+    with _writer(args, ["cycle_type", "wg", "wg_float"], config) as row:
         for ct in sorted(table.values, key=lambda c: (-c.num_cycles, c.parts)):
             val = table.values[ct]
-            writer.row({"cycle_type": str(ct), "wg": val, "wg_float": float(val)})
+            row({"cycle_type": str(ct), "wg": val, "wg_float": float(val)})
     return 0
 
 
@@ -196,13 +187,13 @@ def cmd_exact_moments(args) -> int:
         moments.validate_exact_args(args.p_max, args.n, args.k, m)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    with _writer(args, ["p", "exact", "exact_float"], config) as writer:
+    with _writer(args, ["p", "exact", "exact_float"], config) as row:
         for p in range(1, args.p_max + 1):
             if args.pinched:
                 value = moments.exact_moment_pinched(p, args.n, args.k)
             else:
                 value = moments.exact_moment_conjugate(p, args.n, args.k, m)
-            writer.row({"p": p, "exact": value, "exact_float": float(value)})
+            row({"p": p, "exact": value, "exact_float": float(value)})
     return 0
 
 
@@ -231,22 +222,22 @@ def _label_one(entry, labels) -> str:
 def cmd_minimize(args) -> int:
     if args.p < 1:
         raise CliError(f"p={args.p} must be >= 1")
+    d_values = [_rational("--d", text) for text in args.d]
     from . import moments
 
     if args.p > moments.DEFAULT_PAIR_ORDER:
         raise CliError(f"p={args.p} exceeds the pair-search cap {moments.DEFAULT_PAIR_ORDER}")
-    d_values = [_parse_d(text) for text in args.d]
     config = {"command": "minimize", "p": args.p, "d": [str(d) for d in d_values]}
     columns = ["problem", "d", "minimum", "n_minimizers", "minimizers"]
     mismatches = []
-    with _writer(args, columns, config) as writer:
+    with _writer(args, columns, config) as row:
         for d in d_values:
             reports = [moments.minimize_S2(args.p, d), moments.minimize_S1(args.p, d)]
             if 0 < d < 1 or 1 < d < 2:
                 reports.append(moments.minimize_S_pinched(args.p, d))
             reports.append(moments.minimize_S(args.p, d))
             for report in reports:
-                writer.row(
+                row(
                     {
                         "problem": report.problem,
                         "d": str(d),
@@ -273,10 +264,10 @@ def cmd_minimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_threads(args.threads)
+    c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
     from . import montecarlo
-    from .moments import as_fraction
 
-    spec = _spec_for_regime(args.n, as_fraction(args.c), _parse_d(args.d), _parse_t(args.t), args.flavor)
+    spec = _spec_for_regime(args.n, c, d, t, args.flavor)
     config = {
         "command": "simulate",
         "flavor": spec.flavor,
@@ -298,46 +289,19 @@ def cmd_simulate(args) -> int:
         "bulk_m3",
         "bulk_m4",
     ]
-    stat_cols = columns[2:]
-    montecarlo.ensemble_settings(spec, args.trials, args.scale, args.drop_largest)
-    with _writer(args, columns, config) as writer:
-        collected: dict[str, list[float]] = {}
-        for t, stats in montecarlo.iter_trial_statistics(
-            spec,
-            args.trials,
-            args.seed,
-            scale=args.scale,
-            drop_largest=args.drop_largest,
-            threads=args.threads,
+    scale, drop_largest, _ = montecarlo.ensemble_settings(spec, args.trials, args.scale, args.drop_largest)
+    with _writer(args, columns, config) as row:
+        trials = []
+        for trial, stats in montecarlo.iter_trial_statistics(
+            spec, args.trials, args.seed, scale=scale, drop_largest=drop_largest, threads=args.threads
         ):
-            stats = dict(stats)
-            stats["bulk_mean"] = stats.get("bulk_m1")
-            row = {"row": "trial", "trial": t}
-            for col in stat_cols:
-                row[col] = stats.get(col)
-                if stats.get(col) is not None:
-                    collected.setdefault(col, []).append(stats[col])
-            writer.row(row)
-        mean_row = {"row": "mean", "trial": None}
-        se_row = {"row": "stderr", "trial": None}
-        for col in stat_cols:
-            vals = collected.get(col)
-            if not vals:
-                continue
-            mean = sum(vals) / len(vals)
-            mean_row[col] = mean
-            if len(vals) > 1:
-                var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-                se_row[col] = math.sqrt(var / len(vals))
-        writer.row(mean_row)
-        writer.row(se_row)
+            stats["bulk_mean"] = stats["bulk_m1"]
+            trials.append(stats)
+            row({"row": "trial", "trial": trial, **stats})
+        report = montecarlo.EnsembleReport.from_trials(spec, args.seed, scale, drop_largest, trials)
+        for kind, aggregate in (("mean", report.mean), ("stderr", report.stderr)):
+            row({"row": kind, **{name: aggregate(name) for name in report.per_trial}})
     return 0
-
-
-def _parse_t(text):
-    if text is None:
-        return None
-    return Fraction(text)
 
 
 def cmd_compare(args) -> int:
@@ -373,7 +337,7 @@ def cmd_compare(args) -> int:
             f"for the {spec.flavor} flavor at n={spec.n}, k={spec.k}, m={spec.m}"
         )
     gates = []
-    with _writer(args, COMPARE_COLUMNS, config) as writer:
+    with _writer(args, COMPARE_COLUMNS, config) as row:
         ensemble = montecarlo.moment_ensemble(
             spec, args.p_max, args.trials, args.seed, pinched=args.pinched
         )
@@ -385,7 +349,7 @@ def cmd_compare(args) -> int:
             theory = _theory_moment(spec, regime, p, args.pinched)
             z_exact = _z(mc_mean, mc_stderr, float(exact)) if exact is not None else None
             z_theory = _z(mc_mean, mc_stderr, theory) if theory is not None else None
-            writer.row(
+            row(
                 {
                     "p": p,
                     "exact": exact,
@@ -445,12 +409,10 @@ def _z(mean: float, stderr: float, reference: float) -> float:
 
 def cmd_entropy(args) -> int:
     _check_threads(args.threads)
+    c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
     from . import freeprob, montecarlo
-    from .moments import RegimeParams, as_fraction
+    from .moments import RegimeParams
 
-    d = _parse_d(args.d)
-    c = as_fraction(args.c)
-    t = _parse_t(args.t)
     n_list = [int(x) for x in args.n_list.split(",")]
     config = {
         "command": "entropy",
@@ -478,17 +440,15 @@ def cmd_entropy(args) -> int:
     for spec in specs:
         montecarlo.ensemble_settings(spec, args.trials, full_spectrum=True)
     predictions = [freeprob.entropy_prediction(regime, spec.n, spec.k) for spec in specs]
-    with _writer(args, columns, config) as writer:
+    with _writer(args, columns, config) as row:
         for spec, prediction in zip(specs, predictions):
             report = montecarlo.run_ensemble(
                 spec, args.trials, args.seed, full_spectrum=True, threads=args.threads
             )
-            if "entropy" not in report.per_trial:
-                raise CliError("entropy requires the full-spectrum path")
             h_mean = report.mean("entropy")
             h_se = report.stderr("entropy")
             cap = 2 * math.log(min(spec.k, spec.n))
-            writer.row(
+            row(
                 {
                     "n": spec.n,
                     "k": spec.k,

@@ -54,6 +54,8 @@ from .perm import (
     index_of,
     make_gamma_delta,
     partitions,
+    _bpos,
+    _tpos,
 )
 from .weingarten import WgTable, wg_irrep_weights
 
@@ -144,23 +146,15 @@ def choice_to_permutation(f: ChoiceFunction) -> Permutation:
     """
     p = f.p
     images = [0] * (2 * p)
-
-    def tpos(i):
-        return p + i - 1
-
-    def bpos(i):
-        return p - i
-
     for i in range(1, p + 1):
         if f.picks[i - 1] == "I":
-            images[tpos(i)] = tpos(i - 1 if i > 1 else p)
+            images[_tpos(i, p)] = _tpos(i - 1 if i > 1 else p, p)
         else:
-            images[tpos(i)] = bpos(i)
-        nxt = f.picks[i % p]
-        if nxt == "I":
-            images[bpos(i)] = bpos(i + 1 if i < p else 1)
+            images[_tpos(i, p)] = _bpos(i, p)
+        if f.picks[i % p] == "I":
+            images[_bpos(i, p)] = _bpos(i + 1 if i < p else 1, p)
         else:
-            images[bpos(i)] = tpos(i)
+            images[_bpos(i, p)] = _tpos(i, p)
     return Permutation(tuple(images))
 
 
@@ -220,6 +214,8 @@ def validate_exact_args(p: int, n: int, k: int, m: int):
     """Raise ValueError unless the exact sums accept every order up to p at (n, k, m)."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    if min(n, k, m) < 1:
+        raise ValueError(f"dimensions must be >= 1, got n={n}, k={k}, m={m}")
     cap = DEFAULT_ENUMERATION_CAP // 2
     if p > cap:
         raise ValueError(f"p={p} exceeds the exact-sum cap {cap} (the sum enumerates S_2p)")

@@ -318,13 +318,10 @@ class FactoredDensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.gram).real)
 
-    def eigenvalues(self, pad: bool = False) -> np.ndarray:
-        """Nonzero-support spectrum (descending); `pad` appends the
-        structural zeros up to the full dimension n^2."""
+    def eigenvalues(self) -> np.ndarray:
+        """Nonzero-support spectrum, descending."""
         if self._eigs is None:
             self._eigs = np.linalg.eigvalsh(self.gram)[::-1]
-        if pad and self.dim > self._eigs.size:
-            return np.concatenate([self._eigs, np.zeros(self.dim - self._eigs.size)])
         return self._eigs
 
     def trace_powers(self, p_max: int) -> list[float]:
@@ -650,16 +647,14 @@ class SpectralReport:
         return float(math.sqrt(max(self.moments[1] - self.moments[0] ** 2, 0.0)))
 
 
-def spectral_report(z, scale: float = 1.0, drop_largest: int = 0, check_trace: bool = True) -> SpectralReport:
+def spectral_report(z, scale: float = 1.0, drop_largest: int = 0) -> SpectralReport:
     """Eigendecompose, sort, and summarize a density matrix (dense array,
-    DensityMatrix, or FactoredDensityMatrix)."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    DensityMatrix, or FactoredDensityMatrix) whose eigenvalues sum to 1."""
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive")
     if not 0 <= drop_largest <= 2:
         raise ValueError("drop_largest must be in {0, 1, 2}")
-    if isinstance(z, FactoredDensityMatrix):
-        eigs = z.eigenvalues()
-    elif isinstance(z, DensityMatrix):
+    if isinstance(z, (DensityMatrix, FactoredDensityMatrix)):
         eigs = z.eigenvalues()
     else:
         arr = np.asarray(z)
@@ -668,7 +663,7 @@ def spectral_report(z, scale: float = 1.0, drop_largest: int = 0, check_trace: b
             raise ValueError(f"input not Hermitian: defect {defect:.3e}")
         eigs = np.linalg.eigvalsh(arr)[::-1]
     total = float(eigs.sum())
-    if check_trace and abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > 1e-10:
         raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
     bulk = eigs[drop_largest:]
     rescaled = scale * bulk
@@ -683,6 +678,14 @@ def spectral_report(z, scale: float = 1.0, drop_largest: int = 0, check_trace: b
         scale=scale,
         drop_largest=drop_largest,
     )
+
+
+def stderr_of(values: np.ndarray) -> float:
+    """Standard error of the mean of `values` (for complex values, of the
+    real and imaginary parts together); NaN for fewer than two."""
+    if values.size < 2:
+        return float("nan")
+    return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 @dataclass
@@ -707,10 +710,16 @@ class EnsembleReport:
         return float(self.per_trial[name].mean())
 
     def stderr(self, name: str) -> float:
-        vals = self.per_trial[name]
-        if vals.size < 2:
-            return float("nan")
-        return float(vals.std(ddof=1) / math.sqrt(vals.size))
+        return stderr_of(self.per_trial[name])
+
+    @classmethod
+    def from_trials(
+        cls, spec: ChannelSpec, seed: int, scale: float, drop_largest: int, stats: list[dict[str, float]]
+    ) -> EnsembleReport:
+        """The report of per-trial statistics dicts, in trial order, as
+        `iter_trial_statistics` yields them."""
+        per_trial = {name: np.array([s[name] for s in stats]) for name in stats[0]}
+        return cls(spec, len(stats), seed, scale, drop_largest, per_trial)
 
 
 def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
@@ -816,14 +825,8 @@ def run_ensemble(
     ``default_rng([seed, t])``, so the result does not depend on `threads`.
     """
     scale, drop_largest, full_spectrum = ensemble_settings(spec, trials, scale, drop_largest, full_spectrum)
-    results = [
-        stats
-        for _, stats in iter_trial_statistics(spec, trials, seed, scale, drop_largest, full_spectrum, threads)
-    ]
-    report = EnsembleReport(spec=spec, trials=trials, seed=seed, scale=scale, drop_largest=drop_largest)
-    for name in results[0]:
-        report.per_trial[name] = np.array([r[name] for r in results])
-    return report
+    stats = [s for _, s in iter_trial_statistics(spec, trials, seed, scale, drop_largest, full_spectrum, threads)]
+    return EnsembleReport.from_trials(spec, seed, scale, drop_largest, stats)
 
 
 @dataclass
@@ -840,10 +843,7 @@ class MomentEnsemble:
         return float(self._pick(pinched)[:, p - 1].mean())
 
     def stderr(self, p: int, pinched: bool = False) -> float:
-        col = self._pick(pinched)[:, p - 1]
-        if col.size < 2:
-            return float("nan")
-        return float(col.std(ddof=1) / math.sqrt(col.size))
+        return stderr_of(self._pick(pinched)[:, p - 1])
 
     def _pick(self, pinched: bool) -> np.ndarray:
         if pinched:

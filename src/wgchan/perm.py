@@ -427,33 +427,33 @@ class GroupTable:
 
 @lru_cache(maxsize=None)
 def group_table(m: int) -> GroupTable:
-    """The array table of S_m, built once per degree for the life of the process."""
+    """The array table of S_m, built once per degree for the life of the
+    process.  Cycle types come from orbit lengths, for every element at
+    once: point x lies on a cycle of length r, the least r >= 1 with
+    sigma^r(x) = x, so r * (number of r-cycles) points have orbit length r."""
     if m > DEFAULT_ENUMERATION_CAP:
         raise ValueError(f"group degree {m} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    perms_list = list(itertools.permutations(range(m)))
-    n_elems = len(perms_list)
-    perms = np.array(perms_list, dtype=np.uint8)
+    n_elems = math.factorial(m)
+    images = itertools.chain.from_iterable(itertools.permutations(range(m)))
+    perms = np.fromiter(images, dtype=np.uint8, count=n_elems * m).reshape(n_elems, m)
     # argsort of a row of one-line images is the row of its inverse
     inverse = index_of(np.argsort(perms, axis=1))
 
-    class_of = {parts: idx for idx, parts in enumerate(partitions(m))}
-    ncycles = np.empty(n_elems, dtype=np.int64)
-    cls = np.empty(n_elems, dtype=np.int64)
-    for idx, images in enumerate(perms_list):
-        lens = []
-        seen = [False] * m
-        for start in range(m):
-            if seen[start]:
-                continue
-            d = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = images[x]
-                d += 1
-            lens.append(d)
-        ncycles[idx] = len(lens)
-        cls[idx] = class_of[tuple(sorted(lens, reverse=True))]
+    orbit = np.zeros((n_elems, m), dtype=np.uint8)
+    power = perms
+    for r in range(1, m + 1):
+        orbit[(power == np.arange(m)) & (orbit == 0)] = r
+        power = np.take_along_axis(perms, power, axis=1)
+    # the cycle type as a number: the count of r-cycles is digit r - 1 in base m + 1
+    ncycles = np.zeros(n_elems, dtype=np.int64)
+    key = np.zeros(n_elems, dtype=np.int64)
+    for r in range(1, m + 1):
+        count = np.count_nonzero(orbit == r, axis=1) // r
+        ncycles += count
+        key += count * (m + 1) ** (r - 1)
+    class_keys = np.array([sum((m + 1) ** (r - 1) for r in parts) for parts in partitions(m)], dtype=np.int64)
+    order = np.argsort(class_keys)
+    cls = order[np.searchsorted(class_keys, key, sorter=order)]
     return GroupTable(perms, inverse, ncycles, cls)
 
 

@@ -156,7 +156,8 @@ class McEstimate:
     """Monte Carlo mean with a scalar standard error.
 
     ``stderr`` combines real and imaginary fluctuations:
-    sqrt((var(Re) + var(Im)) / trials).
+    sqrt((var(Re) + var(Im)) / trials), and is NaN for a single trial, so
+    `z_against` is NaN then too.
     """
 
     mean: complex
@@ -177,7 +178,7 @@ def haar_moment_mc(n: int, tup: IndexTuple, trials: int, seed: int) -> McEstimat
     """Monte Carlo oracle for `haar_moment`: averages the entry product over
     Haar samples.  Deterministic given the seed (one stream, sequential
     draws), so extending `trials` keeps the earlier samples unchanged."""
-    from .montecarlo import haar_isometry
+    from .montecarlo import haar_isometry, stderr_of
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -201,9 +202,4 @@ def haar_moment_mc(n: int, tup: IndexTuple, trials: int, seed: int) -> McEstimat
         acc[done : done + size] = vals
         done += size
 
-    mean = acc.mean()
-    if trials > 1:
-        var = acc.real.var(ddof=1) + acc.imag.var(ddof=1)
-    else:
-        var = 0.0
-    return McEstimate(mean=complex(mean), stderr=float(np.sqrt(var / trials)), trials=trials)
+    return McEstimate(mean=complex(acc.mean()), stderr=stderr_of(acc), trials=trials)

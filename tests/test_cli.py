@@ -105,6 +105,17 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "0"],
         ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "-2"],
         ["entropy", "--d", "1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1", "--threads", "0"],
+        ["exact-moments", "--n", "3", "--k", "3", "--m", "0"],
+        ["exact-moments", "--n", "3", "--k", "3", "--m", "-3"],
+        ["minimize", "--p", "2", "--d", "1/0"],
+        *[
+            [*command, option, "1/0"]
+            for command in (
+                ["simulate", "--n", "8", "--trials", "2", "--seed", "1"],
+                ["entropy", "--n-list", "8", "--trials", "2", "--seed", "1", "--d", "1", "--c", "1"],
+            )
+            for option in ("--c", "--d", "--t")
+        ],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):

@@ -102,6 +102,7 @@ for argv, code in (
     (["minimize", "--p", "0", "--d", "1"], 2),
     (["compare", "--n", "3", "--k", "3", "--trials", "9", "--seed", "1", "--z-threshold", "nan"], 2),
     (["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "0"], 2),
+    (["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--t", "1/0"], 2),
 ):
     sys.argv = ["wgchan", *argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

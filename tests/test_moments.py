@@ -141,6 +141,11 @@ def test_exact_moment_preconditions():
         exact_moment_conjugate(2, 3, 3, 4)  # m does not divide nk
     with pytest.raises(ValueError):
         exact_moment_conjugate(5, 16, 16, 16)  # beyond the S_2p enumeration cap
+    for n, k, m in ((3, 3, 0), (3, 3, -3), (-3, -3, 3), (3, -3, 3)):
+        with pytest.raises(ValueError):
+            exact_moment_conjugate(2, n, k, m)  # a dimension below 1
+    with pytest.raises(ValueError):
+        exact_moment_pinched(2, -3, -3)
 
 
 def test_wg_table_shape_checked():

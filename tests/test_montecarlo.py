@@ -427,6 +427,9 @@ def test_spectral_report_maximally_mixed():
 def test_spectral_report_validation():
     with pytest.raises(ValueError):
         spectral_report(np.eye(3, dtype=complex) / 3, scale=-1.0)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            spectral_report(np.eye(3, dtype=complex) / 3, scale=scale)
     with pytest.raises(ValueError):
         spectral_report(np.eye(3, dtype=complex))  # trace 3
     with pytest.raises(ValueError):

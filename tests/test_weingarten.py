@@ -300,6 +300,14 @@ def test_haar_moment_mc_zero_case():
     assert est.z_against(0.0) < 4
 
 
+def test_haar_moment_mc_single_trial_has_no_error_estimate():
+    # one sample says nothing about its spread: a zero stderr would let any
+    # z-score pass
+    est = haar_moment_mc(2, IndexTuple((1,), (1,), (1,), (1,)), trials=1, seed=5)
+    assert math.isnan(est.stderr)
+    assert math.isnan(est.z_against(0.5))
+
+
 def test_haar_moment_mc_deterministic():
     tup = IndexTuple((1,), (1,), (1,), (1,))
     a = haar_moment_mc(2, tup, trials=5_000, seed=123)
