@@ -134,7 +134,10 @@ def _spec_for_regime(n: int, c: Fraction, d: Fraction, t: Fraction | None, flavo
             raise CliError("d=0 needs an integer ancilla dimension c")
         k = int(c)
     else:
-        k = round(float(c) * float(n) ** float(d))
+        try:
+            k = round(float(c) * float(n) ** float(d))
+        except OverflowError as exc:
+            raise CliError(f"c={c}, d={d} at n={n} give an ancilla dimension beyond float range") from exc
     if k < 1:
         raise CliError(f"regime gives ancilla dimension k={k} < 1")
     if t is None:

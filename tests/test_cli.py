@@ -116,6 +116,8 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
             )
             for option in ("--c", "--d", "--t")
         ],
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--c", "1e400"],
+        ["entropy", "--n-list", "8", "--trials", "2", "--seed", "1", "--d", "1000", "--c", "1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):

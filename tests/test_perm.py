@@ -240,3 +240,12 @@ def test_group_table_matches_permutation_objects(data):
     assert tuple(int(x) for x in table.perms[table.inverse[i]]) == a.inverse().images
     composed = index_of(table.perms[i][table.perms[j]][None, :])[0]
     assert tuple(int(x) for x in table.perms[composed]) == compose(a, b).images
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_group_table_cycle_types_every_element(m):
+    # the array orbit count against Permutation's cycle walk, element by element
+    table = group_table(m)
+    walked = [Permutation(tuple(int(x) for x in row)) for row in table.perms]
+    assert [p.num_cycles for p in walked] == table.ncycles.tolist()
+    assert [p.cycle_type().parts for p in walked] == [partitions(m)[c] for c in table.cls]
