@@ -332,7 +332,7 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "pinched": args.pinched,
     }
-    montecarlo.validate_moment_args(args.p_max, args.trials)
+    montecarlo.validate_moment_args(spec, args.p_max, args.trials)
     exacts = [_exact_moment(spec, p, args.pinched) for p in range(1, args.p_max + 1)]
     if args.strict and None in exacts:
         raise CliError(

@@ -592,6 +592,18 @@ def _gram_of_factor(n: int, k: int, w: np.ndarray):
     return gram, None, "output"
 
 
+def _check_factor_size(spec: ChannelSpec) -> None:
+    """Raise ValueError unless one output of `spec` and its n^2 x k^2 rank
+    factor fit the memory guards."""
+    if spec.output_dim > FACTORED_DIM_GUARD:
+        raise ValueError(f"output dimension {spec.output_dim} exceeds guard {FACTORED_DIM_GUARD}")
+    if spec.output_dim * spec.k * spec.k > 2 * FACTORED_DIM_GUARD:
+        raise ValueError(
+            f"rank factor would hold {spec.output_dim * spec.k * spec.k} entries, "
+            f"beyond the memory guard"
+        )
+
+
 def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> FactoredDensityMatrix:
     """Output Z = [Phi (x) Phi_bar](E_m) (or [Phi (x) Psi] for the
     independent flavor) for one random draw.
@@ -600,13 +612,7 @@ def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> Factor
     independent consumes two from the same stream and stays complex.
     Deterministic given the seed.
     """
-    if spec.output_dim > FACTORED_DIM_GUARD:
-        raise ValueError(f"output dimension {spec.output_dim} exceeds guard {FACTORED_DIM_GUARD}")
-    if spec.output_dim * spec.k * spec.k > 2 * FACTORED_DIM_GUARD:
-        raise ValueError(
-            f"rank factor would hold {spec.output_dim * spec.k * spec.k} entries, "
-            f"beyond the memory guard"
-        )
+    _check_factor_size(spec)
     rng = _as_rng(seed)
     v_a = _stinespring_isometry(spec, rng)
     real_basis = spec.flavor == "conjugate"
@@ -760,6 +766,7 @@ def ensemble_settings(
     trial runs.  The trace route can drop only lambda_1 from the bulk."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_factor_size(spec)
     if scale is None:
         scale = float(spec.k * spec.k)
     if drop_largest is None:
@@ -860,12 +867,13 @@ _MOMENT_BATCH = 2048
 _MOMENT_BATCH_ENTRIES = 1 << 17
 
 
-def validate_moment_args(p_max: int, trials: int) -> None:
-    """Raise ValueError unless `moment_ensemble` accepts (p_max, trials)."""
+def validate_moment_args(spec: ChannelSpec, p_max: int, trials: int) -> None:
+    """Raise ValueError unless `moment_ensemble` accepts (spec, p_max, trials)."""
     if p_max < 1 or p_max > 4:
         raise ValueError("p_max must be in 1..4")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_factor_size(spec)
 
 
 def moment_ensemble(
@@ -882,7 +890,7 @@ def moment_ensemble(
     for the conjugate flavor, two for the independent one.  Extending
     `trials` therefore extends the ensemble.
     """
-    validate_moment_args(p_max, trials)
+    validate_moment_args(spec, p_max, trials)
     n, k, m = spec.n, spec.k, spec.m
     real_basis = spec.flavor == "conjugate"
     draws = 1 if real_basis else 2

@@ -118,6 +118,10 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ],
         ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--c", "1e400"],
         ["entropy", "--n-list", "8", "--trials", "2", "--seed", "1", "--d", "1000", "--c", "1"],
+        # one output's rank factor beyond the memory guard
+        ["simulate", "--n", "8", "--d", "10", "--trials", "1", "--seed", "1"],
+        ["entropy", "--n-list", "8", "--d", "10", "--c", "1", "--trials", "1", "--seed", "1"],
+        ["compare", "--n", "80", "--k", "80", "--trials", "2", "--seed", "1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):

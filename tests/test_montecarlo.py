@@ -610,3 +610,5 @@ def test_guards():
         bell_state(100)  # dense guard
     with pytest.raises(ValueError):
         run_ensemble(conjugate_spec(3, 2), 0, 1)
+    with pytest.raises(ValueError):
+        moment_ensemble(conjugate_spec(80, 80), 2, 2, 1)  # rank-factor guard, before sampling
