@@ -143,7 +143,7 @@ def _spec_for_regime(n: int, c: Fraction, d: Fraction, t: Fraction | None, flavo
     if t is None:
         m = n
     else:
-        m = round(float(t) * n * k)
+        m = round(t * n * k)
         if m < 1 or (n * k) % m != 0:
             raise CliError(f"t={t} gives input dimension m={m} not dividing nk={n * k}")
     return ChannelSpec(n=n, k=k, m=m, flavor=flavor)

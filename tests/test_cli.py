@@ -117,6 +117,7 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
             for option in ("--c", "--d", "--t")
         ],
         ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--c", "1e400"],
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--d", "0", "--c", "1e400", "--t", "1/2"],
         ["entropy", "--n-list", "8", "--trials", "2", "--seed", "1", "--d", "1000", "--c", "1"],
         # one output's rank factor beyond the memory guard
         ["simulate", "--n", "8", "--d", "10", "--trials", "1", "--seed", "1"],
