@@ -439,18 +439,18 @@ def group_table(m: int) -> GroupTable:
     # argsort of a row of one-line images is the row of its inverse
     inverse = index_of(np.argsort(perms, axis=1))
 
-    orbit = np.zeros((n_elems, m), dtype=np.uint8)
-    power = perms
-    for r in range(1, m + 1):
-        orbit[(power == np.arange(m)) & (orbit == 0)] = r
-        power = np.take_along_axis(perms, power, axis=1)
     # the cycle type as a number: the count of r-cycles is digit r - 1 in base m + 1
     ncycles = np.zeros(n_elems, dtype=np.int64)
     key = np.zeros(n_elems, dtype=np.int64)
+    returned = np.zeros((n_elems, m), dtype=bool)
+    power = perms  # sigma^r, one row per element
     for r in range(1, m + 1):
-        count = np.count_nonzero(orbit == r, axis=1) // r
+        first = (power == np.arange(m)) & ~returned  # the points of orbit length r
+        returned |= first
+        count = np.count_nonzero(first, axis=1) // r
         ncycles += count
         key += count * (m + 1) ** (r - 1)
+        power = np.take_along_axis(perms, power, axis=1)
     class_keys = np.array([sum((m + 1) ** (r - 1) for r in parts) for parts in partitions(m)], dtype=np.int64)
     order = np.argsort(class_keys)
     cls = order[np.searchsorted(class_keys, key, sorter=order)]
