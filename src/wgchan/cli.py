@@ -129,6 +129,8 @@ def _check_threads(threads: int) -> None:
 def _spec_for_regime(n: int, c: Fraction, d: Fraction, t: Fraction | None, flavor: str) -> ChannelSpec:
     from .montecarlo import ChannelSpec
 
+    if n < 1:
+        raise CliError(f"n={n} must be >= 1")
     if d == 0:
         if c.denominator != 1:
             raise CliError("d=0 needs an integer ancilla dimension c")

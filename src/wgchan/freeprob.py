@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import RegimeParams, as_fraction
+from .moments import RegimeParams
 from .montecarlo import entropy_of
 from .perm import DEFAULT_NC_CAP, non_crossing_partitions
 
@@ -180,7 +180,7 @@ def entropy_prediction(regime: RegimeParams, n: int, k: int) -> EntropyPredictio
     required); d = 1 dispatches on c vs 1 with macroscopic defect c^2/2 or
     1/(2c^2); the remaining regimes carry only their leading term.
     """
-    d = as_fraction(regime.d)
+    d = Fraction(regime.d)
     c = float(regime.c)
     if d == 0:
         k_fixed = int(regime.c)

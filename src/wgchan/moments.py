@@ -52,10 +52,9 @@ from .perm import (
     group_table,
     identity,
     index_of,
+    leg_wiring,
     make_gamma_delta,
     partitions,
-    _bpos,
-    _tpos,
 )
 from .weingarten import WgTable, wg_irrep_weights
 
@@ -84,16 +83,6 @@ class RegimeParams:
             raise ValueError("d must be >= 0")
         if self.t is not None and not 0 < self.t <= 1:
             raise ValueError("t must lie in (0, 1]")
-
-
-def as_fraction(value) -> Fraction:
-    """Exact conversion; pass a Fraction or string like '4/3' for values that
-    must land exactly on a case boundary."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    return Fraction(value)  # exact binary value of a float
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +125,11 @@ def choice_functions(p: int):
 
 
 def choice_to_permutation(f: ChoiceFunction) -> Permutation:
-    """The permutation f_hat wiring the pinched trace: on top labels,
-    i^T -> (i-1)^T for an Identity pick and i^T -> i^B for a Bell pick; on
-    bottom labels, i^B -> (i+1)^B when the *next* pick is Identity and
-    i^B -> i^T when it is Bell (index arithmetic modulo p).
-
-    For f identically 'I' this is gamma; otherwise its cycle count equals the
-    number of Bell picks.
+    """The permutation f_hat wiring the pinched trace: `perm.leg_wiring` of
+    the picks of f.  For f identically 'I' this is gamma; otherwise its cycle
+    count equals the number of Bell picks.
     """
-    p = f.p
-    images = [0] * (2 * p)
-    for i in range(1, p + 1):
-        if f.picks[i - 1] == "I":
-            images[_tpos(i, p)] = _tpos(i - 1 if i > 1 else p, p)
-        else:
-            images[_tpos(i, p)] = _bpos(i, p)
-        if f.picks[i % p] == "I":
-            images[_bpos(i, p)] = _bpos(i + 1 if i < p else 1, p)
-        else:
-            images[_bpos(i, p)] = _tpos(i, p)
-    return Permutation(tuple(images))
+    return leg_wiring(str(f))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +349,7 @@ def _single_census(p: int, target: Permutation) -> _Census:
 
 
 def _minimize_single(problem: str, p: int, d, target: Permutation) -> ExponentReport:
-    d = as_fraction(d)
+    d = Fraction(d)
     minimum, points = _best(_single_census(p, target), d, -p)
     return ExponentReport(problem=problem, p=p, d=d, minimum=minimum, minimizers=tuple(_perms_at(p, points)))
 
@@ -426,7 +400,7 @@ def minimize_S(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> ExponentReport
     """
     if p > max_order:
         raise ValueError(f"p={p} exceeds the pair-search cap {max_order}")
-    d = as_fraction(d)
+    d = Fraction(d)
     minimum, points = _best(_pair_census(p), d, -p)
     alphas, betas = np.divmod(points, len(group_table(2 * p).perms))
     minimizers = tuple(zip(_perms_at(p, alphas), _perms_at(p, betas)))
@@ -468,7 +442,7 @@ def minimize_S_pinched(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> Expone
     """
     if p > max_order:
         raise ValueError(f"p={p} exceeds the pair-search cap {max_order}")
-    d = as_fraction(d)
+    d = Fraction(d)
     if not (0 < d < 1 or 1 < d < 2):
         raise ValueError("the pinched exponent is defined for d in (0,1) or (1,2)")
     census, rows, choices = _pinched_pair_census(p)
@@ -503,7 +477,7 @@ def _geodesic_set(p: int, which: str) -> frozenset[Permutation]:
 
 def reference_S2(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
     """Closed-form solution table for the S2 problem."""
-    d = as_fraction(d)
+    d = Fraction(d)
     _, delta, _ = make_gamma_delta(p)
     if d == 0:
         return Fraction(-1), _geodesic_set(p, "delta->gtilde")
@@ -517,7 +491,7 @@ def reference_S2(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
 def reference_S1(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
     """Closed-form solution table for the S1 problem, including the p = 2
     special rows and the interface case p = 2/(2-d)."""
-    d = as_fraction(d)
+    d = Fraction(d)
     gamma, delta, _ = make_gamma_delta(p)
     ident = identity(2 * p)
     if d == 0:
@@ -574,7 +548,7 @@ def asymptotic_moment_conjugate(p: int, regime: RegimeParams) -> MomentPredictio
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    d = as_fraction(regime.d)
+    d = Fraction(regime.d)
     b = float(regime.b)
     c = float(regime.c)
     if p == 1:

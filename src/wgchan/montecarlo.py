@@ -95,32 +95,29 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator, count: int | N
 _MIRROR_BLOCK = 256
 
 
-def _zherk_lower(w: np.ndarray, outer: bool) -> np.ndarray:
-    """Lower triangle of w* w (w w* with `outer`) for one complex matrix,
-    zeros above it, from BLAS zherk.  Passing the transposed view of a
-    C-contiguous array gives zherk a Fortran layout without copying; it
-    returns the upper triangle of the conjugate product in Fortran order,
-    which read through ``.T`` is the lower triangle in C order.
-
-    scipy is imported here, at first use, and nowhere else in the package:
-    only a complex product more than 512 wide needs it, so every other path
-    starts without paying for the import.  Python's import lock makes the
-    first call safe from several threads at once."""
-    from scipy.linalg.blas import zherk
-
-    return zherk(1.0, np.ascontiguousarray(w).T, trans=2 if outer else 0, lower=0).T
-
-
 def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
-    """Hermitian product w* w, or w w* with `outer`, over the last two axes.
-    A single product more than 512 wide takes the half-cost BLAS rank-k
-    update of `_zherk_lower`, the only path that loads scipy, and
-    `_mirror_lower` then fills the upper triangle; every other product is a
-    numpy matmul."""
-    if w.ndim > 2 or (w.shape[0] if outer else w.shape[1]) <= 512:
+    """Hermitian product w* w, or w w* with `outer`, over the last two axes,
+    for a real or complex w with any leading trial axes; the one place that
+    chooses how such a product is formed.
+
+    A real, batched or at most 512 wide product is a numpy matmul; for a real
+    w, ``w.conj()`` is w itself, so numpy sees a matrix times its own
+    transpose and hands it to syrk.  A single complex product more than 512
+    wide takes BLAS zherk at half the cost, and `_mirror_lower` fills the
+    upper triangle.  Passing zherk the transposed view of a C-contiguous
+    array gives it a Fortran layout without copying; it returns the upper
+    triangle of the conjugate product in Fortran order, which read through
+    ``.T`` is the lower triangle in C order.
+
+    scipy is imported in that branch and nowhere else in the package, so
+    every other path starts without paying for the import.  Python's import
+    lock makes the first call safe from several threads at once."""
+    if np.isrealobj(w) or w.ndim > 2 or (w.shape[0] if outer else w.shape[1]) <= 512:
         wh = w.conj().swapaxes(-1, -2)
         return w @ wh if outer else wh @ w
-    g = _zherk_lower(w, outer)
+    from scipy.linalg.blas import zherk
+
+    g = zherk(1.0, np.ascontiguousarray(w).T, trans=2 if outer else 0, lower=0).T
     _mirror_lower(g)
     return g
 
@@ -148,36 +145,19 @@ def _vdot(x: np.ndarray, y: np.ndarray, axes: int):
     return np.einsum(f"...{sub},...{sub}->...", x.conj(), y)
 
 
-def _herm_traces_34(g: np.ndarray, p_max: int) -> list:
-    """[tr g^3], or [tr g^3, tr g^4] when p_max is 4, for Hermitian g over
-    the last two axes: real symmetric g squares as g^T g, which numpy hands
-    to syrk; a single complex g more than 512 wide takes one triangular
-    update L, the lower triangle of g^2 with zeros above it, and reads both
-    traces off dot products with L, counting the off-diagonal half twice."""
-    if np.isrealobj(g):
-        g2 = g.swapaxes(-1, -2) @ g
-        tr3 = _vdot(g2, g, 2)
-        return [tr3, _vdot(g2, g2, 2)] if p_max == 4 else [tr3]
-    if g.ndim > 2 or g.shape[0] <= 512:
-        g2 = g @ g
-        tr3 = np.sum(g2 * g.swapaxes(-1, -2), axis=(-2, -1)).real
-        return [tr3, _vdot(g2, g2, 2).real] if p_max == 4 else [tr3]
-    low = _zherk_lower(g, outer=False)
-    d, d2 = g.diagonal().real, low.diagonal().real
-    tr3 = 2.0 * float(np.vdot(g, low).real) - float(d @ d2)
-    if p_max < 4:
-        return [tr3]
-    return [tr3, 2.0 * float(np.vdot(low, low).real) - float(d2 @ d2)]
-
-
 def _trace_powers(gram: np.ndarray, p_max: int) -> np.ndarray:
     """tr G^p for p = 1..p_max <= 4 of Hermitian G on the last two axes of
-    `gram`, as an array of shape ``gram.shape[:-2] + (p_max,)``."""
+    `gram`, as an array of shape ``gram.shape[:-2] + (p_max,)``: tr G^2 is
+    <G, G>, and with G^2 from `_herk`, tr G^3 is <G^2, G> and tr G^4 is
+    <G^2, G^2>, all Frobenius products."""
     out = [np.trace(gram, axis1=-2, axis2=-1).real]
     if p_max >= 2:
         out.append(_vdot(gram, gram, 2).real)
     if p_max >= 3:
-        out.extend(_herm_traces_34(gram, p_max))
+        g2 = _herk(gram)
+        out.append(_vdot(g2, gram, 2).real)
+        if p_max == 4:
+            out.append(_vdot(g2, g2, 2).real)
     return np.stack(out, axis=-1)
 
 
@@ -258,14 +238,6 @@ class DensityMatrix:
         """Eigenvalues sorted descending."""
         return np.linalg.eigvalsh(self.entries)[::-1]
 
-    def trace_powers(self, p_max: int) -> list[float]:
-        out = []
-        acc = self.entries
-        for _ in range(p_max):
-            out.append(float(np.trace(acc).real))
-            acc = acc @ self.entries
-        return out
-
     def validate_psd(self, tol: float = 1e-10) -> None:
         low = float(self.eigenvalues()[-1])
         if low < -tol:
@@ -325,10 +297,10 @@ class FactoredDensityMatrix:
         return self._eigs
 
     def trace_powers(self, p_max: int) -> list[float]:
-        """[tr Z, tr Z^2, ..., tr Z^{p_max}] without a full eigensolve."""
-        if p_max > 4:
-            eigs = self.eigenvalues()
-            return [float(np.sum(eigs**p)) for p in range(1, p_max + 1)]
+        """[tr Z, tr Z^2, ..., tr Z^{p_max}] for p_max in 1..4, without an
+        eigensolve."""
+        if not 1 <= p_max <= 4:
+            raise ValueError("p_max must be in 1..4")
         return _trace_powers(self.gram, p_max).tolist()
 
     def largest_eigenvalue(self) -> float:
@@ -579,17 +551,13 @@ def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
 def _gram_of_factor(n: int, k: int, w: np.ndarray):
     """(gram, Bell overlap, side) of the factor, for each leading index: W* W
     and W* e on the ancilla side (k <= n), W W* and no overlap on the output
-    side.  A real factor takes numpy's real products, a complex one the
-    Hermitian rank-k update."""
-    real = np.isrealobj(w)
-    wt = w.swapaxes(-1, -2)
+    side."""
     if k <= n:
-        gram = wt @ w if real else _herk(w)
+        gram = _herk(w)
         diag = w.reshape(w.shape[:-2] + (n, n, k * k))[..., np.arange(n), np.arange(n), :]
         overlap = diag.sum(axis=-2).conj() / math.sqrt(n)
         return gram, overlap, "ancilla"
-    gram = w @ wt if real else _herk(w, outer=True)  # Z itself: the output side is the smaller one
-    return gram, None, "output"
+    return _herk(w, outer=True), None, "output"  # Z itself: the output side is the smaller one
 
 
 def _check_factor_size(spec: ChannelSpec) -> None:
@@ -763,22 +731,27 @@ def ensemble_settings(
 ) -> tuple[float, int, bool]:
     """(scale, drop_largest, full_spectrum) of `run_ensemble` with its
     defaults filled in; raise ValueError for arguments it rejects, before any
-    trial runs.  The trace route can drop only lambda_1 from the bulk."""
+    trial runs.  The trace route can drop only lambda_1 from the bulk, and
+    the bulk must keep at least one of the min(n, k)^2 eigenvalues, so the
+    conjugate default drops lambda_1 only when there are two or more."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_factor_size(spec)
+    support = min(spec.n, spec.k) ** 2
     if scale is None:
         scale = float(spec.k * spec.k)
     if drop_largest is None:
-        drop_largest = 1 if spec.flavor == "conjugate" else 0
+        drop_largest = 1 if spec.flavor == "conjugate" and support > 1 else 0
     if full_spectrum is None:
-        full_spectrum = min(spec.n, spec.k) ** 2 <= FULL_SPECTRUM_CAP
+        full_spectrum = support <= FULL_SPECTRUM_CAP
     if not 0 < scale < math.inf:
         raise ValueError("scale must be finite and positive")
     if not 0 <= drop_largest <= (2 if full_spectrum else 1):
         raise ValueError(
             "drop_largest must be in {0, 1, 2}" if full_spectrum else "drop_largest must be 0 or 1 on the trace route"
         )
+    if drop_largest >= support:
+        raise ValueError(f"drop_largest={drop_largest} must be less than the number of eigenvalues, {support}")
     return scale, drop_largest, full_spectrum
 
 
@@ -822,8 +795,8 @@ def run_ensemble(
 
     Defaults: bulk rescaling k^2 (the c^2 n^2 of the limit theorems expressed
     through the actual ancilla dimension) and one dropped outlier for the
-    conjugate flavor, none for the independent flavor.  Entropy is computed
-    only on the full-spectrum path (small spectral carrier, or
+    conjugate flavor with two or more eigenvalues, none otherwise.  Entropy
+    is computed only on the full-spectrum path (small spectral carrier, or
     `full_spectrum=True`).  The trace route instead records, per trial,
     the Lanczos steps behind lambda_1 (`lambda1_iters`, at most 120) and
     whether its top Ritz value settled to 1e-12 relative between steps

@@ -294,14 +294,33 @@ def _bpos(i: int, p: int) -> int:
     return p - i
 
 
+def leg_wiring(picks: str) -> Permutation:
+    """The permutation f_hat of S_{2p} that wires p legs, one per pick of
+    `picks`, a string of 'I' (Identity) and 'E' (Bell): on top labels,
+    i^T -> (i-1)^T for an Identity pick and i^T -> i^B for a Bell pick; on
+    bottom labels, i^B -> (i+1)^B when the *next* pick is Identity and
+    i^B -> i^T when it is Bell (index arithmetic modulo p).  All 'I' gives
+    gamma and all 'E' gives delta of `make_gamma_delta`."""
+    p = len(picks)
+    images = [0] * (2 * p)
+    for i in range(1, p + 1):
+        top, bottom = _tpos(i, p), _bpos(i, p)
+        images[top] = _tpos(i - 1 if i > 1 else p, p) if picks[i - 1] == "I" else bottom
+        images[bottom] = _bpos(i + 1 if i < p else 1, p) if picks[i % p] == "I" else top
+    return Permutation(tuple(images))
+
+
+@lru_cache(maxsize=16)
 def make_gamma_delta(p: int) -> tuple[Permutation, Permutation, Permutation]:
     """The block permutations (gamma, delta, gamma_tilde) of S_{2p}.
 
     Under the LabeledIndex layout:
 
     * ``gamma`` maps ``i^T -> (i-1)^T`` and ``i^B -> (i+1)^B`` with the index
-      arithmetic cyclic inside each block, so it is a product of two p-cycles.
-    * ``delta`` swaps ``i^T <-> i^B``: an involution made of p transpositions.
+      arithmetic cyclic inside each block, so it is a product of two p-cycles;
+      it is the `leg_wiring` of p Identity picks.
+    * ``delta`` swaps ``i^T <-> i^B``: an involution made of p transpositions,
+      the `leg_wiring` of p Bell picks.
     * ``gamma_tilde`` is the single 2p-cycle
       ``(p^T ... 2^T 1^T 1^B 2^B ... p^B)``.
 
@@ -311,18 +330,11 @@ def make_gamma_delta(p: int) -> tuple[Permutation, Permutation, Permutation]:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    m = 2 * p
-    gamma = [0] * m
-    delta = [0] * m
-    gtil = [0] * m
+    gtil = [0] * (2 * p)
     for i in range(1, p + 1):
-        gamma[_tpos(i, p)] = _tpos(i - 1 if i > 1 else p, p)
-        gamma[_bpos(i, p)] = _bpos(i + 1 if i < p else 1, p)
-        delta[_tpos(i, p)] = _bpos(i, p)
-        delta[_bpos(i, p)] = _tpos(i, p)
         gtil[_tpos(i, p)] = _tpos(i - 1, p) if i > 1 else _bpos(1, p)
         gtil[_bpos(i, p)] = _bpos(i + 1, p) if i < p else _tpos(p, p)
-    return Permutation(tuple(gamma)), Permutation(tuple(delta)), Permutation(tuple(gtil))
+    return leg_wiring("I" * p), leg_wiring("E" * p), Permutation(tuple(gtil))
 
 
 def all_permutations(m: int, max_degree: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:

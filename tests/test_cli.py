@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,6 +124,12 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["simulate", "--n", "8", "--d", "10", "--trials", "1", "--seed", "1"],
         ["entropy", "--n-list", "8", "--d", "10", "--c", "1", "--trials", "1", "--seed", "1"],
         ["compare", "--n", "80", "--k", "80", "--trials", "2", "--seed", "1"],
+        # n < 1, which with a fractional d would otherwise reach a complex power
+        ["simulate", "--n", "-3", "--d", "1/2", "--trials", "1", "--seed", "1"],
+        ["entropy", "--d", "1/2", "--c", "1", "--n-list", "-4", "--trials", "1", "--seed", "1"],
+        # dropping every eigenvalue of a min(n, k)^2 = 1 spectrum from the bulk
+        ["simulate", "--n", "5", "--c", "1", "--d", "0", "--drop-largest", "1", "--trials", "2", "--seed", "1"],
+        ["simulate", "--n", "1", "--c", "3", "--d", "0", "--drop-largest", "2", "--trials", "2", "--seed", "1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):
@@ -433,6 +440,23 @@ def test_entropy_d0_rejects_fractional_c(capsys):
     )
     assert code == 2
     assert "integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["simulate", "--n", "5", "--c", "1", "--d", "0", "--trials", "2", "--seed", "1"],
+         ["lambda1", "bulk_mean", "bulk_std", "bulk_m1", "bulk_m2", "bulk_m3", "bulk_m4"]),
+        (["entropy", "--d", "0", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1"], ["h_mean"]),
+    ],
+    ids=["simulate", "entropy"],
+)
+def test_single_eigenvalue_keeps_its_bulk(capsys, argv, columns):
+    # k = 1 leaves one eigenvalue, so the conjugate default drops none
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    for r in csv_rows(out):
+        assert all(math.isfinite(float(r[name])) for name in columns), r
 
 
 def test_seed_required_for_stochastic_commands(capsys):

@@ -344,14 +344,21 @@ def test_pinched_output_side_matches_dense():
 
 
 def test_trace_powers_match_eigenvalues():
-    # the independent spec's 576-wide Gram takes the complex triangular
-    # update for tr Z^3 and tr Z^4
+    # the independent spec's 576-wide Gram squares through zherk for tr Z^3
+    # and tr Z^4
     for spec, seed in ((conjugate_spec(6, 4), 5), (independent_spec(24, 24), 8)):
         z = product_output(spec, seed)
         ev = z.eigenvalues()
         tp = z.trace_powers(4)
         for p in range(1, 5):
             assert tp[p - 1] == pytest.approx(float(np.sum(ev**p)), rel=1e-12)
+
+
+def test_trace_powers_reject_orders_outside_1_to_4():
+    z = product_output(conjugate_spec(3, 2), 1)
+    for p_max in (0, 5):
+        with pytest.raises(ValueError, match="p_max"):
+            z.trace_powers(p_max)
 
 
 @pytest.mark.parametrize("n, k", [(24, 24), (24, 32)])
