@@ -93,12 +93,23 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator, count: int | N
 
 #: Side of the square blocks in which `_mirror_lower` copies a triangle.
 _MIRROR_BLOCK = 256
+#: Rows (columns with `outer`) of a complex factor that `product_output`
+#: builds and folds into its Gram per zherk call, in whole a's (k1's).
+_GRAM_BLOCK = 1024
+#: Rows of G per strip of G^2 in `_strip_traces`.
+_TRACE_STRIP = 256
 
 
-def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
+def _takes_zherk(shape: tuple[int, ...], dtype, outer: bool = False) -> bool:
+    """Whether `_herk` forms the product of a factor of this shape and dtype
+    by BLAS zherk: a single complex product more than 512 wide."""
+    return np.dtype(dtype).kind == "c" and len(shape) == 2 and shape[0 if outer else 1] > 512
+
+
+def _herk(w, outer: bool = False) -> np.ndarray:
     """Hermitian product w* w, or w w* with `outer`, over the last two axes,
     for a real or complex w with any leading trial axes; the one place that
-    chooses how such a product is formed.
+    forms such a product, and with `_takes_zherk` the one that chooses how.
 
     A real, batched or at most 512 wide product is a numpy matmul; for a real
     w, ``w.conj()`` is w itself, so numpy sees a matrix times its own
@@ -109,15 +120,33 @@ def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
     triangle of the conjugate product in Fortran order, which read through
     ``.T`` is the lower triangle in C order.
 
-    scipy is imported in that branch and nowhere else in the package, so
-    every other path starts without paying for the import.  Python's import
+    On that route `w` may also be an iterable of the row blocks of the
+    factor (column blocks with `outer`), which need not exist at once: each
+    is folded into the one Fortran-ordered product by a zherk call with
+    beta = 1 that overwrites it, and the triangle is mirrored once at the
+    end.  Each entry is then a sum of the same panel products as for the
+    whole factor whenever the block edges fall on BLAS's own panel edges
+    along the summed axis (every 128 rows for OpenBLAS's Haswell kernels),
+    so the bits are the same too.
+
+    scipy is imported on that route only (here and for the blocks of
+    `_complex_factor_blocks`), so every other path starts without paying for
+    the import.  Python's import
     lock makes the first call safe from several threads at once."""
-    if np.isrealobj(w) or w.ndim > 2 or (w.shape[0] if outer else w.shape[1]) <= 512:
+    if isinstance(w, np.ndarray) and not _takes_zherk(w.shape, w.dtype, outer):
         wh = w.conj().swapaxes(-1, -2)
         return w @ wh if outer else wh @ w
     from scipy.linalg.blas import zherk
 
-    g = zherk(1.0, np.ascontiguousarray(w).T, trans=2 if outer else 0, lower=0).T
+    trans = 2 if outer else 0
+    c = None
+    for block in [w] if isinstance(w, np.ndarray) else w:
+        a = np.ascontiguousarray(block).T
+        if c is None:
+            c = zherk(1.0, a, trans=trans, lower=0)
+        else:
+            c = zherk(1.0, a, beta=1.0, c=c, trans=trans, lower=0, overwrite_c=1)
+    g = c.T
     _mirror_lower(g)
     return g
 
@@ -148,17 +177,48 @@ def _vdot(x: np.ndarray, y: np.ndarray, axes: int):
 def _trace_powers(gram: np.ndarray, p_max: int) -> np.ndarray:
     """tr G^p for p = 1..p_max <= 4 of Hermitian G on the last two axes of
     `gram`, as an array of shape ``gram.shape[:-2] + (p_max,)``: tr G^2 is
-    <G, G>, and with G^2 from `_herk`, tr G^3 is <G^2, G> and tr G^4 is
-    <G^2, G^2>, all Frobenius products."""
+    <G, G>, and tr G^3 and tr G^4 are <G^2, G> and <G^2, G^2>, all Frobenius
+    products.  G^2 comes whole from `_herk` for a real, batched or at most
+    512 wide G; a G that `_herk` would square by zherk goes to
+    `_strip_traces`, which never holds G^2 whole."""
     out = [np.trace(gram, axis1=-2, axis2=-1).real]
     if p_max >= 2:
         out.append(_vdot(gram, gram, 2).real)
     if p_max >= 3:
-        g2 = _herk(gram)
-        out.append(_vdot(g2, gram, 2).real)
-        if p_max == 4:
-            out.append(_vdot(g2, g2, 2).real)
+        if _takes_zherk(gram.shape, gram.dtype):
+            out.extend(_strip_traces(gram)[: p_max - 2])
+        else:
+            g2 = _herk(gram)
+            out.append(_vdot(g2, gram, 2).real)
+            if p_max == 4:
+                out.append(_vdot(g2, g2, 2).real)
     return np.stack(out, axis=-1)
+
+
+def _strip_traces(g: np.ndarray) -> tuple[float, float]:
+    """(tr G^3, tr G^4) of a single Hermitian G from the lower triangle of
+    G^2, one strip of `_TRACE_STRIP` rows at a time.  Strip r = [r0, r1) of
+    G^2 left of column r1 is S = G[r, :] G[:, :r1], computed into one reused
+    buffer; by Hermitian symmetry the part left of r0 stands for itself and
+    its mirror, so it counts twice, and the diagonal block once:
+    tr G^4 += 2 |S[:, :r0]|^2 + |S[:, r0:]|^2 and
+    tr G^3 += 2 Re <G[r, :r0], S[:, :r0]> + Re <G[r, r0:r1], S[:, r0:]>.
+    That is the work of one Hermitian product, like zherk's.  Each Re <x, y>
+    is a float64 dot of the two views, so no strided slice is copied."""
+    dim = g.shape[0]
+    buf = np.empty(min(_TRACE_STRIP, dim) * dim, dtype=g.dtype)
+
+    def re_dot(x, y):
+        return float(np.einsum("ij,ij->", x.view(np.float64), y.view(np.float64)))
+
+    t3 = t4 = 0.0
+    for r0 in range(0, dim, _TRACE_STRIP):
+        r1 = min(r0 + _TRACE_STRIP, dim)
+        s = np.matmul(g[r0:r1], g[:, :r1], out=buf[: (r1 - r0) * r1].reshape(r1 - r0, r1))
+        off, on = s[:, :r0], s[:, r0:]
+        t4 += 2 * re_dot(off, off) + re_dot(on, on)
+        t3 += 2 * re_dot(g[r0:r1, :r0], off) + re_dot(g[r0:r1, r0:r1], on)
+    return t3, t4
 
 
 def _pinch(gram: np.ndarray, overlap: np.ndarray | None, e: np.ndarray) -> np.ndarray:
@@ -402,13 +462,16 @@ def _lanczos_lambda1(
 
 
 def entropy_of(eigenvalues: Iterable[float]) -> float:
-    """Von Neumann entropy -sum x log x (natural log) with 0 log 0 := 0."""
+    """Von Neumann entropy -sum x log x (natural log) with 0 log 0 := 0.
+    Never below +0.0: an eigenvalue that rounding puts just above 1 would
+    give a negative sum, or -0.0 for an exact 1."""
     vals = np.asarray(list(eigenvalues) if not isinstance(eigenvalues, np.ndarray) else eigenvalues, dtype=float)
     if vals.size and float(vals.min()) < -1e-10:
         raise ValueError(f"eigenvalue {vals.min():.3e} below -1e-10")
     vals = np.clip(vals, 0.0, None)
     pos = vals[vals > 0]
-    return float(-(pos * np.log(pos)).sum())
+    h = float(-(pos * np.log(pos)).sum())
+    return 0.0 if h <= 0 else h
 
 
 def bell_vector(n: int) -> np.ndarray:
@@ -465,15 +528,56 @@ def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator, count: in
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray) -> np.ndarray:
+def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """W[(a, b), (k1, k2)] = sum_i V_a[(a, k1), i] V_b[(b, k2), i] / sqrt m,
-    for each leading index of the isometry stacks."""
+    for each leading index of the isometry stacks, over the a and k1 that
+    `v_a` holds.  `v_a` is V_a viewed with shape lead + (a's, k1's, m): all
+    of it gives W, a slice of the a axis a row block of W and a slice of the
+    k1 axis a column block.  With `out`, a flat buffer of at least the
+    block's size, the block of a single output is written into its head and
+    its mix is formed by scipy's zgemm, the BLAS that folds it into the Gram: switching
+    between numpy's and scipy's BLAS thread pools once per a cost a 64-wide
+    trial about a tenth of its time on 2 vCPUs."""
     n, k, m = spec.n, spec.k, spec.m
-    lead = v_a.shape[:-2]
-    mix = v_a @ v_b.swapaxes(-1, -2)
-    w = mix.reshape(lead + (n, k, n, k)).swapaxes(-3, -2).reshape(lead + (n * n, k * k))
+    lead = v_a.shape[:-3]
+    rows_a, cols_a = v_a.shape[-3:-1]
+    rows = v_a.reshape(lead + (rows_a * cols_a, m))
+    shape = lead + (rows_a * n, cols_a * k)
+    if out is None:
+        mix = rows @ v_b.swapaxes(-1, -2)
+        w = np.empty(shape, dtype=complex)
+    else:
+        from scipy.linalg.blas import zgemm
+
+        mix = zgemm(1.0, v_b.T, rows.T, trans_a=1).T
+        w = out[: math.prod(shape)].reshape(shape)
+    w.reshape(lead + (rows_a, n, cols_a, k))[...] = mix.reshape(lead + (rows_a, cols_a, n, k)).swapaxes(-3, -2)
     w /= math.sqrt(m)
     return w
+
+
+def _complex_factor_blocks(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray):
+    """Yield the complex factor W of one output in blocks for `_herk` to fold
+    into its Gram: rows of `_GRAM_BLOCK` // n a's on the ancilla side
+    (k <= n), columns of `_GRAM_BLOCK` // k k1's on the output side.  Each
+    block is written over the last in one buffer, the rows (a, .) of one a
+    at a time, so neither W nor more than a k x nk slice of its mix is ever
+    held."""
+    n, k, m = spec.n, spec.k, spec.m
+    v_a = v_a.reshape(n, k, m)
+    if k <= n:
+        step = max(1, _GRAM_BLOCK // n)
+        parts = [v_a[a0 : a0 + step] for a0 in range(0, n, step)]
+    else:
+        step = max(1, _GRAM_BLOCK // k)
+        parts = [v_a[:, k0 : k0 + step] for k0 in range(0, k, step)]
+    buf = np.empty(parts[0].shape[0] * n * parts[0].shape[1] * k, dtype=complex)
+    for part in parts:
+        rows_a, cols_a, _ = part.shape
+        size = n * cols_a * k  # entries of the block in the rows of one a
+        for a in range(rows_a):
+            _complex_factor(spec, part[a : a + 1], v_b, buf[a * size :])
+        yield buf[: rows_a * size].reshape(rows_a * n, cols_a * k)
 
 
 @lru_cache(maxsize=16)
@@ -548,16 +652,35 @@ def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _gram_of_factor(n: int, k: int, w: np.ndarray):
-    """(gram, Bell overlap, side) of the factor, for each leading index: W* W
+def _gram_of_factor(n: int, k: int, w):
+    """(gram, Bell overlap, side) of the factor W, for each leading index: W* W
     and W* e on the ancilla side (k <= n), W W* and no overlap on the output
-    side."""
-    if k <= n:
-        gram = _herk(w)
-        diag = w.reshape(w.shape[:-2] + (n, n, k * k))[..., np.arange(n), np.arange(n), :]
-        overlap = diag.sum(axis=-2).conj() / math.sqrt(n)
-        return gram, overlap, "ancilla"
-    return _herk(w, outer=True), None, "output"  # Z itself: the output side is the smaller one
+    side.  `w` is W, or the blocks of one complex W from
+    `_complex_factor_blocks`, which `_herk` folds into the Gram one at a
+    time; the rows (a, a) behind the overlap are copied out of each block as
+    it passes, and summed once at the end either way."""
+    if k > n:
+        return _herk(w, outer=True), None, "output"  # Z itself: the output side is the smaller one
+
+    def rows_aa(block, a0):  # rows (a, a) of the row block of W from row (a0, 0) on
+        by_a = block.reshape(block.shape[:-2] + (-1, n, k * k))
+        a = np.arange(by_a.shape[-3])
+        return by_a[..., a, a0 + a, :]
+
+    if isinstance(w, np.ndarray):
+        gram, diag = _herk(w), rows_aa(w, 0)
+    else:
+        parts = []
+
+        def tap():
+            for block in w:
+                parts.append(rows_aa(block, sum(len(p) for p in parts)))
+                yield block
+
+        gram = _herk(tap())
+        diag = np.concatenate(parts)
+    overlap = diag.sum(axis=-2).conj() / math.sqrt(n)
+    return gram, overlap, "ancilla"
 
 
 def _check_factor_size(spec: ChannelSpec) -> None:
@@ -579,19 +702,29 @@ def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> Factor
     Conjugate flavor consumes one isometry draw and works in the real basis;
     independent consumes two from the same stream and stays complex.
     Deterministic given the seed.
+
+    The real route holds W and its Gram at once.  A complex Gram that
+    `_herk` forms by zherk is built from `_complex_factor_blocks` instead,
+    so the trial holds the Gram and one block of W and its mix at a time.
+    With `keep_factor` W is built whole and kept; the Gram has the same
+    bits either way when the block edges fall on BLAS's panel edges, as at
+    n = k = 64 (see `_herk`).
     """
     _check_factor_size(spec)
     rng = _as_rng(seed)
     v_a = _stinespring_isometry(spec, rng)
     real_basis = spec.flavor == "conjugate"
+    n, k = spec.n, spec.k
     if real_basis:
         w = _real_factor(spec, v_a)
     else:
-        w = _complex_factor(spec, v_a, _stinespring_isometry(spec, rng))
-    gram, overlap, side = _gram_of_factor(spec.n, spec.k, w)
-    return FactoredDensityMatrix(
-        spec.n, spec.k, gram, overlap, w if keep_factor else None, side, real_basis
-    )
+        v_b = _stinespring_isometry(spec, rng)
+        if keep_factor or not _takes_zherk((n * n, k * k), complex, outer=k > n):
+            w = _complex_factor(spec, v_a.reshape(n, k, spec.m), v_b)
+        else:
+            w = _complex_factor_blocks(spec, v_a, v_b)
+    gram, overlap, side = _gram_of_factor(n, k, w)
+    return FactoredDensityMatrix(n, k, gram, overlap, w if keep_factor else None, side, real_basis)
 
 
 @dataclass(frozen=True)
@@ -623,7 +756,8 @@ class SpectralReport:
 
 def spectral_report(z, scale: float = 1.0, drop_largest: int = 0) -> SpectralReport:
     """Eigendecompose, sort, and summarize a density matrix (dense array,
-    DensityMatrix, or FactoredDensityMatrix) whose eigenvalues sum to 1."""
+    DensityMatrix, or FactoredDensityMatrix) whose eigenvalues sum to 1.
+    The bulk must keep at least one eigenvalue after `drop_largest`."""
     if not 0 < scale < math.inf:
         raise ValueError("scale must be finite and positive")
     if not 0 <= drop_largest <= 2:
@@ -636,6 +770,8 @@ def spectral_report(z, scale: float = 1.0, drop_largest: int = 0) -> SpectralRep
         if defect > 1e-10 * max(1.0, float(np.abs(arr).max())):
             raise ValueError(f"input not Hermitian: defect {defect:.3e}")
         eigs = np.linalg.eigvalsh(arr)[::-1]
+    if drop_largest >= len(eigs):
+        raise ValueError(f"drop_largest={drop_largest} must be less than the number of eigenvalues, {len(eigs)}")
     total = float(eigs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
@@ -876,7 +1012,10 @@ def moment_ensemble(
     for start in range(0, trials, size_cap):
         size = min(size_cap, trials - start)
         v = _stinespring_isometry(spec, rng, size * draws).reshape(size, draws, n * k, m)
-        w = _real_factor(spec, v[:, 0]) if real_basis else _complex_factor(spec, v[:, 0], v[:, 1])
+        if real_basis:
+            w = _real_factor(spec, v[:, 0])
+        else:
+            w = _complex_factor(spec, v[:, 0].reshape(size, n, k, m), v[:, 1])
         gram, overlap, _ = _gram_of_factor(n, k, w)
         traces[start : start + size] = _trace_powers(gram, p_max)
         if pinched:

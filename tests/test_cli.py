@@ -457,6 +457,9 @@ def test_single_eigenvalue_keeps_its_bulk(capsys, argv, columns):
     assert (code, err) == (0, "")
     for r in csv_rows(out):
         assert all(math.isfinite(float(r[name])) for name in columns), r
+        # rounding puts lambda1 at 1 + 2^-52 on one trial; no entropy reads below 0
+        entropies = [r[name] for name in ("entropy", "h_mean", "prediction") if name in r]
+        assert entropies and not any(value.startswith("-") for value in entropies), r
 
 
 def test_seed_required_for_stochastic_commands(capsys):

@@ -299,7 +299,8 @@ def test_real_factor_blocks_and_batches_are_bitwise_identical(monkeypatch, n, k,
         monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", rows * n * k * k)
         assert np.array_equal(montecarlo._real_factor(spec, v), whole)
         assert np.array_equal(montecarlo._real_factor(spec, v[1]), whole[1])
-    rotated = real_basis_unitary(n).conj().T @ montecarlo._complex_factor(spec, v, v.conj()) @ real_basis_unitary(k)
+    w = montecarlo._complex_factor(spec, v.reshape(3, n, k, m), v.conj())
+    rotated = real_basis_unitary(n).conj().T @ w @ real_basis_unitary(k)
     assert np.abs(rotated.imag).max() < 1e-13
     assert np.abs(rotated.real - whole).max() < 1e-13
 
@@ -373,6 +374,53 @@ def test_herk_above_cutoff_is_exactly_hermitian(n, k):
         assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("n, k, m", [(32, 32, 32), (24, 32, 24)])
+def test_streamed_gram_matches_whole_factor(monkeypatch, n, k, m):
+    # 384-row blocks are 12 a's of 32 rows on the ancilla side and 12 k1's of
+    # 32 columns on the output side: three blocks, the last of 8.  Their
+    # edges fall on the 128-row panels along which OpenBLAS's zherk sums, so
+    # the folded Gram has the bits of the whole factor's.  (At n = 24 no
+    # block of whole a's both does so and leaves three blocks.)  The strips
+    # of G^2 are ragged too.
+    monkeypatch.setattr(montecarlo, "_GRAM_BLOCK", 384)
+    monkeypatch.setattr(montecarlo, "_TRACE_STRIP", 200)
+    spec = independent_spec(n, k, m)
+    rng = np.random.default_rng(3)
+    v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
+    shapes = [b.shape for b in montecarlo._complex_factor_blocks(spec, v_a, v_b)]
+    assert len(shapes) == 3 and shapes[-1] != shapes[0]
+    whole = product_output(spec, 7, keep_factor=True)
+    streamed = product_output(spec, 7)
+    assert streamed.factor is None
+    assert np.array_equal(streamed.gram, montecarlo._herk(whole.factor, outer=k > n))
+    if k <= n:
+        assert np.array_equal(streamed.bell_overlap, whole.bell_overlap)
+    assert streamed.largest_eigenvalue_info() == whole.largest_eigenvalue_info()
+    ev = whole.eigenvalues()
+    for p, t in enumerate(streamed.trace_powers(4), start=1):
+        assert t == pytest.approx(math.fsum(ev**p), rel=1e-14, abs=0)
+
+
+def test_streamed_trial_holds_one_gram(monkeypatch):
+    # One independent trial at n = k = m = 32 with four blocks of 8 a's.
+    # Building the whole factor next to its mix takes 2.1 times the Gram's
+    # bytes, and a whole G^2 another 1.1 times on top of G.  The stream holds
+    # G and a quarter of W (1.45 times in all), the strips a quarter of G.
+    import tracemalloc
+
+    monkeypatch.setattr(montecarlo, "_GRAM_BLOCK", 256)
+    spec = independent_spec(32, 32, 32)
+    product_output(spec, 4).trace_powers(4)  # scipy's import is not the trial's
+    tracemalloc.start()
+    try:
+        z = product_output(spec, 5)
+        z.trace_powers(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * z.gram.nbytes
+
+
 def test_lanczos_matches_dense_top():
     rng = np.random.default_rng(2)
     basis, _ = np.linalg.qr(rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600)))
@@ -406,6 +454,9 @@ def test_density_matrix_validation():
 
 def test_entropy_of_guards():
     assert entropy_of([1.0, 0.0]) == 0.0
+    for vals in ([1.0], [1.0000000000000002]):  # raw sums -0.0 and -2.2e-16
+        h = entropy_of(vals)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
     assert entropy_of([0.5, 0.5]) == pytest.approx(math.log(2))
     with pytest.raises(ValueError):
         entropy_of([1.1, -0.1])
@@ -441,6 +492,10 @@ def test_spectral_report_validation():
         spectral_report(np.eye(3, dtype=complex))  # trace 3
     with pytest.raises(ValueError):
         spectral_report(np.array([[0.5, 0.2], [0.1, 0.5]]))  # not Hermitian
+    for eigs, drop in ((1, 1), (2, 2)):  # nothing left in the bulk
+        message = f"drop_largest={drop} must be less than the number of eigenvalues, {eigs}$"
+        with pytest.raises(ValueError, match=message):
+            spectral_report(np.eye(eigs) / eigs, drop_largest=drop)
 
 
 def test_eigenvalue_interlacing_after_pinching():
