@@ -126,6 +126,11 @@ def _check_threads(threads: int) -> None:
         raise CliError(f"--threads must be >= 1, got {threads}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
+
+
 def _spec_for_regime(n: int, c: Fraction, d: Fraction, t: Fraction | None, flavor: str) -> ChannelSpec:
     from .montecarlo import ChannelSpec
 
@@ -269,6 +274,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_threads(args.threads)
+    _check_seed(args.seed)
     c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
     from . import montecarlo
 
@@ -319,6 +325,7 @@ def cmd_compare(args) -> int:
         raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
     _check_positive_finite("--z-threshold", args.z_threshold)
     _check_positive_finite("--rescale", args.rescale)
+    _check_seed(args.seed)
     from . import montecarlo
     from .moments import RegimeParams
 
@@ -414,6 +421,7 @@ def _z(mean: float, stderr: float, reference: float) -> float:
 
 def cmd_entropy(args) -> int:
     _check_threads(args.threads)
+    _check_seed(args.seed)
     c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
     from . import freeprob, montecarlo
     from .moments import RegimeParams

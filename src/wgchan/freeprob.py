@@ -138,8 +138,8 @@ def gamma_t_vector(t, k: int) -> list:
 
 def vn_entropy(v: Sequence[float]) -> float:
     """Von Neumann entropy -sum v_i log v_i of a probability vector, by
-    `montecarlo.entropy_of` (0 log 0 := 0, entries below -1e-10 rejected);
-    also rejects sums away from 1 beyond 1e-8."""
+    `montecarlo.entropy_of` (0 log 0 := 0, entries below -1e-10, NaN or
+    infinite rejected); also rejects sums away from 1 beyond 1e-8."""
     vals = np.asarray([float(x) for x in v], dtype=float)
     total = float(vals.sum())
     if abs(total - 1.0) > 1e-8:

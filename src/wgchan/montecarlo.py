@@ -4,8 +4,7 @@ outputs.
 The output Z = [Phi (x) Phi_bar](E_m) of a product channel on the Bell state
 factors as Z = W W* with W built from the Stinespring isometry, so its nonzero
 spectrum is carried by the k^2 x k^2 Gram matrix G = W* W.  All large-n paths
-work through G and never materialize the n^2 x n^2 output; the dense matrix is
-available below a dimension guard for oracle comparisons.
+work through G and never materialize the n^2 x n^2 output.
 
 For the conjugate flavor the mix P = V V* is Hermitian, so the factor obeys
 conj(W) = S_n W S_k, where S_d swaps the two tensor factors of C^d (x) C^d.
@@ -13,10 +12,10 @@ The unitary U_d that keeps each e_aa and puts (e_ab + e_ba)/sqrt 2 at
 position (a, b) and i (e_ab - e_ba)/sqrt 2 at position (b, a), a < b, has
 S_d U_d = conj(U_d), so W' = U_n* W U_k is real.  That flavor builds W' block
 by block straight from V and works in real arithmetic throughout: its
-``gram``, ``bell_overlap`` and ``factor`` are W'^T W' (or W' W'^T), W'^T e
-and W' in that real basis.  Spectra, trace powers, pinching and
-``to_dense()`` do not depend on the basis: e = U_n* e, and ``to_dense()``
-undoes U_n.  The independent flavor has no such symmetry and stays complex.
+``gram`` and ``bell_overlap`` are W'^T W' (or W' W'^T) and W'^T e in that
+real basis.  Spectra, trace powers and pinching do not depend on the basis,
+since e = U_n* e.  The independent flavor has no such symmetry and stays
+complex.
 
 One set of builders serves a single output and a batch of them: the factor,
 Gram, pinching and trace-power helpers act on the last two axes and carry
@@ -100,47 +99,44 @@ _GRAM_BLOCK = 1024
 _TRACE_STRIP = 256
 
 
-def _takes_zherk(shape: tuple[int, ...], dtype, outer: bool = False) -> bool:
-    """Whether `_herk` forms the product of a factor of this shape and dtype
-    by BLAS zherk: a single complex product more than 512 wide."""
+def _streamed(shape: tuple[int, ...], dtype, outer: bool = False) -> bool:
+    """Whether the Hermitian product of a factor of this shape and dtype is
+    streamed: a single complex product more than 512 wide, whose Gram
+    `product_output` folds by `_herk_blocks` and whose square
+    `_trace_powers` takes in strips."""
     return np.dtype(dtype).kind == "c" and len(shape) == 2 and shape[0 if outer else 1] > 512
 
 
-def _herk(w, outer: bool = False) -> np.ndarray:
+def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
     """Hermitian product w* w, or w w* with `outer`, over the last two axes,
-    for a real or complex w with any leading trial axes; the one place that
-    forms such a product, and with `_takes_zherk` the one that chooses how.
+    for a real or complex w with any leading trial axes, by numpy matmul; for
+    a real w, ``w.conj()`` is w itself, so numpy sees a matrix times its own
+    transpose and hands it to syrk."""
+    wh = w.conj().swapaxes(-1, -2)
+    return w @ wh if outer else wh @ w
 
-    A real, batched or at most 512 wide product is a numpy matmul; for a real
-    w, ``w.conj()`` is w itself, so numpy sees a matrix times its own
-    transpose and hands it to syrk.  A single complex product more than 512
-    wide takes BLAS zherk at half the cost, and `_mirror_lower` fills the
-    upper triangle.  Passing zherk the transposed view of a C-contiguous
-    array gives it a Fortran layout without copying; it returns the upper
-    triangle of the conjugate product in Fortran order, which read through
-    ``.T`` is the lower triangle in C order.
 
-    On that route `w` may also be an iterable of the row blocks of the
-    factor (column blocks with `outer`), which need not exist at once: each
-    is folded into the one Fortran-ordered product by a zherk call with
-    beta = 1 that overwrites it, and the triangle is mirrored once at the
-    end.  Each entry is then a sum of the same panel products as for the
-    whole factor whenever the block edges fall on BLAS's own panel edges
-    along the summed axis (every 128 rows for OpenBLAS's Haswell kernels),
-    so the bits are the same too.
+def _herk_blocks(blocks: Iterable[np.ndarray], outer: bool = False) -> np.ndarray:
+    """The product of `_herk` for a single complex factor given as its row
+    blocks (column blocks with `outer`), which need not exist at once, by
+    BLAS zherk at half the cost of a matmul.  Each block is folded into one
+    Fortran-ordered product by a zherk call with beta = 1 that overwrites
+    it; zherk reads the transposed view of a C-contiguous block as Fortran
+    without a copy, and returns the upper triangle of the conjugate product,
+    which read through ``.T`` is the lower triangle in C order, so
+    `_mirror_lower` fills the upper one once at the end.  The bits are those
+    of the whole factor in one block whenever the block edges fall on BLAS's
+    own panel edges along the summed axis (every 128 rows for OpenBLAS's
+    Haswell kernels).
 
-    scipy is imported on that route only (here and for the blocks of
-    `_complex_factor_blocks`), so every other path starts without paying for
-    the import.  Python's import
-    lock makes the first call safe from several threads at once."""
-    if isinstance(w, np.ndarray) and not _takes_zherk(w.shape, w.dtype, outer):
-        wh = w.conj().swapaxes(-1, -2)
-        return w @ wh if outer else wh @ w
+    scipy is imported only here and for the blocks of `_complex_factor`, so
+    no other path pays for the import; Python's import lock makes the first
+    call safe from several threads at once."""
     from scipy.linalg.blas import zherk
 
     trans = 2 if outer else 0
     c = None
-    for block in [w] if isinstance(w, np.ndarray) else w:
+    for block in blocks:
         a = np.ascontiguousarray(block).T
         if c is None:
             c = zherk(1.0, a, trans=trans, lower=0)
@@ -179,13 +175,13 @@ def _trace_powers(gram: np.ndarray, p_max: int) -> np.ndarray:
     `gram`, as an array of shape ``gram.shape[:-2] + (p_max,)``: tr G^2 is
     <G, G>, and tr G^3 and tr G^4 are <G^2, G> and <G^2, G^2>, all Frobenius
     products.  G^2 comes whole from `_herk` for a real, batched or at most
-    512 wide G; a G that `_herk` would square by zherk goes to
-    `_strip_traces`, which never holds G^2 whole."""
+    512 wide G; a `_streamed` G goes to `_strip_traces`, which never holds
+    G^2 whole."""
     out = [np.trace(gram, axis1=-2, axis2=-1).real]
     if p_max >= 2:
         out.append(_vdot(gram, gram, 2).real)
     if p_max >= 3:
-        if _takes_zherk(gram.shape, gram.dtype):
+        if _streamed(gram.shape, gram.dtype):
             out.extend(_strip_traces(gram)[: p_max - 2])
         else:
             g2 = _herk(gram)
@@ -305,47 +301,32 @@ class DensityMatrix:
 
 
 class FactoredDensityMatrix:
-    """Product-channel output of dimension n^2 held through its rank factor
-    Z = W W* with W of shape (n^2, k^2).
+    """Product-channel output of dimension n^2 held through the Gram of its
+    rank factor: Z = W W* with W of shape (n^2, k^2).
 
     ``gram`` is the smaller of W* W (ancilla side, k <= n) and W W* (output
     side, k > n, in which case it is Z itself); either way its spectrum is
     the nonzero spectrum of Z.  On the ancilla side ``bell_overlap`` is W* e
     for the maximally entangled unit vector e on the output space, enough to
-    pinch by Q = I - ee*.  ``factor`` (W itself) is retained only on request.
+    pinch by Q = I - ee*.
 
     With ``real_basis`` (the conjugate flavor) W is the real factor
     W' = U_n* W U_k of the module docstring, which obeys conj(W) = S_n W S_k,
-    so ``gram``, ``bell_overlap`` and ``factor`` are real arrays in that
-    basis.  Spectra, trace powers, pinching and ``to_dense()`` (which undoes
-    U_n) do not depend on it.
+    so ``gram`` and ``bell_overlap`` are real arrays in that basis.  Spectra,
+    trace powers and pinching do not depend on it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        gram: np.ndarray,
-        bell_overlap: np.ndarray | None,
-        factor: np.ndarray | None = None,
-        side: str = "ancilla",
-        real_basis: bool = False,
-    ):
-        if side not in ("ancilla", "output"):
-            raise ValueError(f"side must be 'ancilla' or 'output', got {side!r}")
+    def __init__(self, n: int, k: int, gram: np.ndarray, bell_overlap: np.ndarray | None, real_basis: bool = False):
         self.n = n
         self.k = k
-        self.dim = n * n
         self.gram = gram
         self.bell_overlap = bell_overlap
-        self.factor = factor
-        self.side = side
         self.real_basis = real_basis
         self._eigs: np.ndarray | None = None
 
     @property
-    def rank_bound(self) -> int:
-        return self.gram.shape[0]
+    def side(self) -> str:
+        return "output" if self.k > self.n else "ancilla"
 
     def trace(self) -> float:
         return float(np.trace(self.gram).real)
@@ -379,44 +360,14 @@ class FactoredDensityMatrix:
             v0 = self.gram.sum(axis=1)
         return _lanczos_lambda1(self.gram, v0)
 
-    def entropy(self) -> float:
-        return entropy_of(self.eigenvalues())
-
     def pinched(self) -> "FactoredDensityMatrix":
         """Compression Q Z Q by Q = I - ee* (Bell projector removed)."""
         g = self.bell_overlap
         if self.side == "ancilla" and g is None:
             raise ValueError("no Bell overlap stored; cannot pinch")
-        e = _basis_bell(self.n, self.real_basis)
-        gram = _pinch(self.gram, g, e)
-        if self.side == "output":
-            return FactoredDensityMatrix(self.n, self.k, gram, None, None, "output", self.real_basis)
-        factor = None if self.factor is None else self.factor - np.outer(e, g.conj())
-        return FactoredDensityMatrix(self.n, self.k, gram, np.zeros_like(g), factor, "ancilla", self.real_basis)
-
-    def to_dense(self) -> DensityMatrix:
-        if self.dim > DENSE_DIM_GUARD:
-            raise ValueError(f"dense dimension {self.dim} exceeds guard {DENSE_DIM_GUARD}")
-        if self.side == "output":
-            z = self.gram
-            if self.real_basis:  # U_n G U_n* = U_n (U_n G)* for symmetric G
-                z = _unrotate_rows(_unrotate_rows(z, self.n).conj().T, self.n)
-            return DensityMatrix(z, check=False)
-        if self.factor is None:
-            raise ValueError("factor not kept; rebuild with keep_factor=True")
-        w = _unrotate_rows(self.factor, self.n) if self.real_basis else self.factor
-        return DensityMatrix(w @ w.conj().T, check=False)
-
-
-def _unrotate_rows(x: np.ndarray, n: int) -> np.ndarray:
-    """U_n x: rows (a, b) and (b, a), a < b, of the real basis go back to
-    (x_ab + i x_ba)/sqrt 2 and (x_ab - i x_ba)/sqrt 2; rows (a, a) stay."""
-    a, b = np.triu_indices(n, 1)
-    ab, ba = a * n + b, b * n + a
-    out = x.astype(complex)
-    out[ab] = (x[ab] + 1j * x[ba]) * math.sqrt(0.5)
-    out[ba] = (x[ab] - 1j * x[ba]) * math.sqrt(0.5)
-    return out
+        gram = _pinch(self.gram, g, _basis_bell(self.n, self.real_basis))
+        overlap = None if g is None else np.zeros_like(g)
+        return FactoredDensityMatrix(self.n, self.k, gram, overlap, self.real_basis)
 
 
 def _lanczos_lambda1(
@@ -464,8 +415,11 @@ def _lanczos_lambda1(
 def entropy_of(eigenvalues: Iterable[float]) -> float:
     """Von Neumann entropy -sum x log x (natural log) with 0 log 0 := 0.
     Never below +0.0: an eigenvalue that rounding puts just above 1 would
-    give a negative sum, or -0.0 for an exact 1."""
+    give a negative sum, or -0.0 for an exact 1.  A NaN or infinite
+    eigenvalue is refused, not dropped."""
     vals = np.asarray(list(eigenvalues) if not isinstance(eigenvalues, np.ndarray) else eigenvalues, dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("eigenvalues must be finite")
     if vals.size and float(vals.min()) < -1e-10:
         raise ValueError(f"eigenvalue {vals.min():.3e} below -1e-10")
     vals = np.clip(vals, 0.0, None)
@@ -557,8 +511,8 @@ def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray, out: np
 
 
 def _complex_factor_blocks(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray):
-    """Yield the complex factor W of one output in blocks for `_herk` to fold
-    into its Gram: rows of `_GRAM_BLOCK` // n a's on the ancilla side
+    """Yield the complex factor W of one output in blocks for `_herk_blocks`
+    to fold into its Gram: rows of `_GRAM_BLOCK` // n a's on the ancilla side
     (k <= n), columns of `_GRAM_BLOCK` // k k1's on the output side.  Each
     block is written over the last in one buffer, the rows (a, .) of one a
     at a time, so neither W nor more than a k x nk slice of its mix is ever
@@ -652,22 +606,23 @@ def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _gram_of_factor(n: int, k: int, w):
-    """(gram, Bell overlap, side) of the factor W, for each leading index: W* W
+def _gram_of_factor(n: int, k: int, w) -> tuple[np.ndarray, np.ndarray | None]:
+    """(gram, Bell overlap) of the factor W, for each leading index: W* W
     and W* e on the ancilla side (k <= n), W W* and no overlap on the output
-    side.  `w` is W, or the blocks of one complex W from
-    `_complex_factor_blocks`, which `_herk` folds into the Gram one at a
-    time; the rows (a, a) behind the overlap are copied out of each block as
-    it passes, and summed once at the end either way."""
-    if k > n:
-        return _herk(w, outer=True), None, "output"  # Z itself: the output side is the smaller one
+    side.  `w` is W, whose Gram `_herk` forms, or the blocks of one complex W
+    from `_complex_factor_blocks`, which `_herk_blocks` folds into the Gram
+    one at a time; the rows (a, a) behind the overlap are copied out of each
+    block as it passes, and summed once at the end either way."""
+    whole = isinstance(w, np.ndarray)
+    if k > n:  # Z itself: the output side is the smaller one
+        return (_herk(w, outer=True) if whole else _herk_blocks(w, outer=True)), None
 
     def rows_aa(block, a0):  # rows (a, a) of the row block of W from row (a0, 0) on
         by_a = block.reshape(block.shape[:-2] + (-1, n, k * k))
         a = np.arange(by_a.shape[-3])
         return by_a[..., a, a0 + a, :]
 
-    if isinstance(w, np.ndarray):
+    if whole:
         gram, diag = _herk(w), rows_aa(w, 0)
     else:
         parts = []
@@ -677,10 +632,9 @@ def _gram_of_factor(n: int, k: int, w):
                 parts.append(rows_aa(block, sum(len(p) for p in parts)))
                 yield block
 
-        gram = _herk(tap())
+        gram = _herk_blocks(tap())
         diag = np.concatenate(parts)
-    overlap = diag.sum(axis=-2).conj() / math.sqrt(n)
-    return gram, overlap, "ancilla"
+    return gram, diag.sum(axis=-2).conj() / math.sqrt(n)
 
 
 def _check_factor_size(spec: ChannelSpec) -> None:
@@ -695,7 +649,7 @@ def _check_factor_size(spec: ChannelSpec) -> None:
         )
 
 
-def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> FactoredDensityMatrix:
+def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
     """Output Z = [Phi (x) Phi_bar](E_m) (or [Phi (x) Psi] for the
     independent flavor) for one random draw.
 
@@ -703,12 +657,10 @@ def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> Factor
     independent consumes two from the same stream and stays complex.
     Deterministic given the seed.
 
-    The real route holds W and its Gram at once.  A complex Gram that
-    `_herk` forms by zherk is built from `_complex_factor_blocks` instead,
-    so the trial holds the Gram and one block of W and its mix at a time.
-    With `keep_factor` W is built whole and kept; the Gram has the same
-    bits either way when the block edges fall on BLAS's panel edges, as at
-    n = k = 64 (see `_herk`).
+    The real route and a complex Gram at most 512 wide build W whole and
+    hold it with its Gram.  A `_streamed` complex Gram is folded from
+    `_complex_factor_blocks` instead, so the trial holds the Gram and one
+    block of W and its mix at a time.
     """
     _check_factor_size(spec)
     rng = _as_rng(seed)
@@ -719,12 +671,12 @@ def product_output(spec: ChannelSpec, seed, keep_factor: bool = False) -> Factor
         w = _real_factor(spec, v_a)
     else:
         v_b = _stinespring_isometry(spec, rng)
-        if keep_factor or not _takes_zherk((n * n, k * k), complex, outer=k > n):
-            w = _complex_factor(spec, v_a.reshape(n, k, spec.m), v_b)
-        else:
+        if _streamed((n * n, k * k), complex, outer=k > n):
             w = _complex_factor_blocks(spec, v_a, v_b)
-    gram, overlap, side = _gram_of_factor(n, k, w)
-    return FactoredDensityMatrix(n, k, gram, overlap, w if keep_factor else None, side, real_basis)
+        else:
+            w = _complex_factor(spec, v_a.reshape(n, k, spec.m), v_b)
+    gram, overlap = _gram_of_factor(n, k, w)
+    return FactoredDensityMatrix(n, k, gram, overlap, real_basis)
 
 
 @dataclass(frozen=True)
@@ -834,7 +786,7 @@ class EnsembleReport:
 
 def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
     z = product_output(spec, rng)
-    support = z.rank_bound
+    support = z.gram.shape[0]
     stats: dict[str, float] = {}
     if full_spectrum:
         rep = spectral_report(z, scale=scale, drop_largest=drop_largest)
@@ -956,17 +908,18 @@ class MomentEnsemble:
     pinched_traces: np.ndarray | None = None
 
     def mean(self, p: int, pinched: bool = False) -> float:
-        return float(self._pick(pinched)[:, p - 1].mean())
+        return float(self._pick(p, pinched).mean())
 
     def stderr(self, p: int, pinched: bool = False) -> float:
-        return stderr_of(self._pick(pinched)[:, p - 1])
+        return stderr_of(self._pick(p, pinched))
 
-    def _pick(self, pinched: bool) -> np.ndarray:
-        if pinched:
-            if self.pinched_traces is None:
-                raise ValueError("pinched traces were not computed")
-            return self.pinched_traces
-        return self.traces
+    def _pick(self, p: int, pinched: bool) -> np.ndarray:
+        """The per-trial traces of order p in 1..p_max."""
+        if not 1 <= p <= self.p_max:
+            raise ValueError(f"p must be in 1..{self.p_max}, got {p}")
+        if pinched and self.pinched_traces is None:
+            raise ValueError("pinched traces were not computed")
+        return (self.pinched_traces if pinched else self.traces)[:, p - 1]
 
 
 #: Trials per batch of `moment_ensemble`, and its cap on the entries of one
@@ -1016,7 +969,7 @@ def moment_ensemble(
             w = _real_factor(spec, v[:, 0])
         else:
             w = _complex_factor(spec, v[:, 0].reshape(size, n, k, m), v[:, 1])
-        gram, overlap, _ = _gram_of_factor(n, k, w)
+        gram, overlap = _gram_of_factor(n, k, w)
         traces[start : start + size] = _trace_powers(gram, p_max)
         if pinched:
             pinched_arr[start : start + size] = _trace_powers(_pinch(gram, overlap, e), p_max)

@@ -130,6 +130,10 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         # dropping every eigenvalue of a min(n, k)^2 = 1 spectrum from the bulk
         ["simulate", "--n", "5", "--c", "1", "--d", "0", "--drop-largest", "1", "--trials", "2", "--seed", "1"],
         ["simulate", "--n", "1", "--c", "3", "--d", "0", "--drop-largest", "2", "--trials", "2", "--seed", "1"],
+        # a seed numpy's streams cannot take
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "-1"],
+        ["compare", "--n", "3", "--k", "3", "--trials", "2", "--seed", "-1"],
+        ["entropy", "--d", "1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "-1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):
@@ -152,6 +156,7 @@ for argv in (
     ["compare", "--n", "3", "--k", "3", "--p-max", "3", "--trials", "20", "--seed", "1"],
     ["compare", "--flavor", "independent", "--n", "3", "--k", "2", "--trials", "20", "--seed", "1"],
     ["simulate", "--n", "8", "--trials", "2", "--seed", "1"],
+    ["simulate", "--flavor", "independent", "--n", "6", "--trials", "2", "--seed", "1"],
     ["entropy", "--d", "1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1"],
 ):
     assert wgchan.cli.main(argv) == 0, argv

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgchan import montecarlo
+from wgchan.freeprob import vn_entropy
 from wgchan.montecarlo import (
     ChannelSpec,
     DensityMatrix,
@@ -199,6 +200,16 @@ def dense_product_oracle(spec, v_a, v_b):
     return z / m
 
 
+def product_factor(spec, v_a, v_b):
+    """The rank factor W of Z = W W* in the product basis, built from the
+    isometries as `product_output` builds it: U_n W' from the real factor W'
+    for the conjugate flavor, the complex factor for the independent one."""
+    n, k, m = spec.n, spec.k, spec.m
+    if spec.flavor == "conjugate":
+        return real_basis_unitary(n) @ montecarlo._real_factor(spec, v_a)
+    return montecarlo._complex_factor(spec, v_a.reshape(n, k, m), v_b)
+
+
 @pytest.mark.parametrize("flavor", ["conjugate", "independent"])
 def test_product_output_matches_dense_oracle(flavor):
     spec = ChannelSpec(n=3, k=2, m=3, flavor=flavor)
@@ -207,8 +218,13 @@ def test_product_output_matches_dense_oracle(flavor):
     v_b = v_a.conj() if flavor == "conjugate" else montecarlo._stinespring_isometry(spec, rng)
     oracle = dense_product_oracle(spec, v_a, v_b)
 
-    z = product_output(spec, trial_rng(17, 0), keep_factor=True)
-    dense = z.to_dense().entries
+    # the factor's Gram and Bell overlap are those product_output holds (U_n
+    # is unitary and fixes e), and the factor gives the dense output
+    z = product_output(spec, trial_rng(17, 0))
+    w = product_factor(spec, v_a, v_b)
+    assert np.abs(w.conj().T @ w - z.gram).max() < 1e-12
+    assert np.abs(w.conj().T @ bell_vector(3) - z.bell_overlap).max() < 1e-12
+    dense = w @ w.conj().T
     assert np.abs(dense - oracle).max() < 1e-12
 
     # nonzero spectrum via the Gram side matches the dense spectrum
@@ -219,13 +235,14 @@ def test_product_output_matches_dense_oracle(flavor):
 
 def test_product_output_output_side_to_dense_matches_oracle():
     # conjugate flavor with k > n: the output-side Gram is Z in the real basis,
-    # and to_dense() must rotate it back to the product basis entry by entry
+    # and U_n must rotate it back to the product basis entry by entry
     spec = ChannelSpec(n=3, k=5, m=5, flavor="conjugate")
     v = montecarlo._stinespring_isometry(spec, trial_rng(19, 0))
     oracle = dense_product_oracle(spec, v, v.conj())
     z = product_output(spec, trial_rng(19, 0))
     assert z.side == "output"
-    assert np.abs(z.to_dense().entries - oracle).max() < 1e-12
+    u = real_basis_unitary(3)
+    assert np.abs(u @ z.gram @ u.conj().T - oracle).max() < 1e-12
 
 
 def test_gram_dtype_pins_the_route():
@@ -318,14 +335,16 @@ def test_product_output_output_side_when_k_exceeds_n():
     assert z.side == "output" and z.gram.shape == (9, 9)
     assert abs(z.trace() - 1) < 1e-10
     assert z.eigenvalues().min() > -1e-10
-    dm = z.to_dense()
-    assert abs(np.trace(dm.entries) - 1) < 1e-10
+    u = real_basis_unitary(3)
+    assert abs(np.trace(u @ z.gram @ u.conj().T) - 1) < 1e-10
 
 
 def test_pinched_matches_dense_compression():
     spec = conjugate_spec(4, 3)
-    z = product_output(spec, 23, keep_factor=True)
-    dense = z.to_dense().entries
+    z = product_output(spec, 23)
+    v = montecarlo._stinespring_isometry(spec, np.random.default_rng(23))
+    w = product_factor(spec, v, v.conj())
+    dense = w @ w.conj().T
     e = bell_vector(4)
     q = np.eye(16) - np.outer(e, e.conj())
     dense_pinched = q @ dense @ q
@@ -364,11 +383,14 @@ def test_trace_powers_reject_orders_outside_1_to_4():
 
 @pytest.mark.parametrize("n, k", [(24, 24), (24, 32)])
 def test_herk_above_cutoff_is_exactly_hermitian(n, k):
-    # both products are wider than 512, so both take zherk and the mirrored
-    # triangle
-    w = product_output(independent_spec(n, k), 8, keep_factor=True).factor
+    # both products are wider than 512, so both are streamed: zherk and the
+    # mirrored triangle, here with the whole factor as the one block
+    spec = independent_spec(n, k)
+    rng = np.random.default_rng(8)
+    v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
+    w = product_factor(spec, v_a, v_b)
     for outer, expected in ((False, w.conj().T @ w), (True, w @ w.conj().T)):
-        g = montecarlo._herk(w, outer=outer)
+        g = montecarlo._herk_blocks([w], outer=outer)
         assert g.shape[0] > 512
         assert np.array_equal(g, g.conj().T)
         assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -389,10 +411,12 @@ def test_streamed_gram_matches_whole_factor(monkeypatch, n, k, m):
     v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
     shapes = [b.shape for b in montecarlo._complex_factor_blocks(spec, v_a, v_b)]
     assert len(shapes) == 3 and shapes[-1] != shapes[0]
-    whole = product_output(spec, 7, keep_factor=True)
+    rng = np.random.default_rng(7)
+    w = product_factor(spec, *(montecarlo._stinespring_isometry(spec, rng) for _ in range(2)))
+    _, overlap = montecarlo._gram_of_factor(n, k, w)
+    whole = montecarlo.FactoredDensityMatrix(n, k, montecarlo._herk_blocks([w], outer=k > n), overlap)
     streamed = product_output(spec, 7)
-    assert streamed.factor is None
-    assert np.array_equal(streamed.gram, montecarlo._herk(whole.factor, outer=k > n))
+    assert np.array_equal(streamed.gram, whole.gram)
     if k <= n:
         assert np.array_equal(streamed.bell_overlap, whole.bell_overlap)
     assert streamed.largest_eigenvalue_info() == whole.largest_eigenvalue_info()
@@ -460,6 +484,13 @@ def test_entropy_of_guards():
     assert entropy_of([0.5, 0.5]) == pytest.approx(math.log(2))
     with pytest.raises(ValueError):
         entropy_of([1.1, -0.1])
+    # a broken spectrum fails closed instead of passing as a pure state
+    for bad in (math.nan, math.inf, -math.inf):
+        for vals in ([bad, 1.0], [bad, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                entropy_of(vals)
+            with pytest.raises(ValueError):
+                vn_entropy(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +646,17 @@ def test_moment_ensemble_matches_product_output_statistics():
     )
     se = math.hypot(ens.stderr(2), direct.std(ddof=1) / math.sqrt(direct.size))
     assert abs(ens.mean(2) - direct.mean()) < 5 * se
+
+
+def test_moment_ensemble_rejects_orders_outside_1_to_p_max():
+    # negative indexing would read p = 0 as p_max and p = -1 as p_max - 1
+    ens = moment_ensemble(conjugate_spec(3, 2), 3, 4, 13, pinched=True)
+    for p in (0, -1, 4):
+        for pinched in (False, True):
+            for stat in (ens.mean, ens.stderr):
+                with pytest.raises(ValueError, match="p must be in 1..3"):
+                    stat(p, pinched=pinched)
+    assert ens.mean(3) == ens.traces[:, 2].mean()
 
 
 def test_moment_ensemble_single_trial_stderr_is_nan():
