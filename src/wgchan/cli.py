@@ -116,11 +116,6 @@ def _rational(option: str, text: str | None) -> Fraction | None:
         raise CliError(f"cannot parse {option}={text!r} as a rational number") from exc
 
 
-def _check_positive_finite(option: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise CliError(f"{option} must be finite and > 0, got {value}")
-
-
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise CliError(f"--threads must be >= 1, got {threads}")
@@ -323,8 +318,8 @@ def cmd_compare(args) -> int:
         raise CliError(f"pinched comparison is defined at m = n, got m={m} with n={args.n}")
     if args.strict and args.trials < 2:
         raise CliError(f"--strict needs at least 2 trials for a standard error, got {args.trials}")
-    _check_positive_finite("--z-threshold", args.z_threshold)
-    _check_positive_finite("--rescale", args.rescale)
+    if not 0 < args.z_threshold < math.inf:
+        raise CliError(f"--z-threshold must be finite and > 0, got {args.z_threshold}")
     _check_seed(args.seed)
     from . import montecarlo
     from .moments import RegimeParams
@@ -356,8 +351,8 @@ def cmd_compare(args) -> int:
         c = Fraction(spec.k, spec.n)
         regime = RegimeParams(c=c, d=Fraction(1), b=Fraction(spec.m, spec.n))
         for p, exact in enumerate(exacts, start=1):
-            mc_mean = ensemble.mean(p, pinched=args.pinched) * args.rescale
-            mc_stderr = ensemble.stderr(p, pinched=args.pinched) * args.rescale
+            mc_mean = ensemble.mean(p, pinched=args.pinched)
+            mc_stderr = ensemble.stderr(p, pinched=args.pinched)
             theory = _theory_moment(spec, regime, p, args.pinched)
             z_exact = _z(mc_mean, mc_stderr, float(exact)) if exact is not None else None
             z_theory = _z(mc_mean, mc_stderr, theory) if theory is not None else None
@@ -540,19 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--pinched", action="store_true")
     p_cmp.add_argument("--strict", action="store_true")
     p_cmp.add_argument("--z-threshold", type=float, default=4.0)
-    p_cmp.add_argument(
-        "--rescale",
-        type=float,
-        default=1.0,
-        help="multiply MC estimates (diagnostic knob; use to exercise --strict)",
-    )
     add_output(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ent = sub.add_parser("entropy", help="output entropy vs prediction vs naive bound")
     p_ent.add_argument("--d", required=True)
     p_ent.add_argument("--c", required=True)
-    p_ent.add_argument("--t", default=None)
+    p_ent.add_argument("--t", default=None, help="Bell fraction m = t n k (rational; needs --d 0)")
     p_ent.add_argument("--n-list", required=True, help="comma-separated output dimensions")
     p_ent.add_argument("--trials", type=int, required=True)
     p_ent.add_argument("--seed", type=int, required=True)

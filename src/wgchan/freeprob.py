@@ -1,5 +1,5 @@
 """Free-probability predictions: the Marchenko-Pastur (free Poisson) law,
-its moments through non-crossing partitions, the x log x integral behind the
+its moments through the Narayana numbers, the x log x integral behind the
 entropy asymptotics, the fixed-ancilla eigenvalue vector, the five-regime
 entropy predictions, and the naive linear-algebra entropy bound.
 
@@ -18,7 +18,6 @@ import numpy as np
 
 from .moments import RegimeParams
 from .montecarlo import entropy_of
-from .perm import DEFAULT_NC_CAP, non_crossing_partitions
 
 
 @dataclass(frozen=True)
@@ -47,27 +46,27 @@ class MarchenkoPastur:
     def moment(self, p: int) -> float:
         return float(mp_moment(self.c, p))
 
-    def integrate(self, func, nodes: int = 400) -> float:
+    def integrate(self, func) -> float:
         """Integral of `func` against the absolutely continuous part, via the
         trigonometric substitution x = 1 + c + 2 sqrt(c) sin(phi) that removes
         both square-root edges; Gauss-Legendre in phi converges spectrally."""
-        phi, weights = _gauss_legendre(nodes)
+        phi, weights = _gauss_legendre()
         x = 1 + self.c + 2 * math.sqrt(self.c) * np.sin(phi)
         jacobian = 2 * self.c * np.cos(phi) ** 2 / (math.pi * x)
         values = np.array([func(float(v)) for v in x])
         return float(np.sum(weights * jacobian * values))
 
-    def expect(self, func, nodes: int = 400) -> float:
+    def expect(self, func) -> float:
         """Integral against the full measure, atom included."""
         atom = self.atom_at_zero * func(0.0)
-        return atom + self.integrate(func, nodes=nodes)
+        return atom + self.integrate(func)
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-pi/2, pi/2], once per
-    count: each costs a LAPACK eigensolve."""
-    phi, weights = (a * (math.pi / 2) for a in np.polynomial.legendre.leggauss(nodes))
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the 400-node Gauss-Legendre rule on
+    [-pi/2, pi/2], built once: the rule costs a LAPACK eigensolve."""
+    phi, weights = (a * (math.pi / 2) for a in np.polynomial.legendre.leggauss(400))
     phi.flags.writeable = False
     weights.flags.writeable = False
     return phi, weights
@@ -85,29 +84,19 @@ def mp_density(c: float, x: float) -> float:
     return math.sqrt(max(4 * c - (x - 1 - c) ** 2, 0.0)) / (2 * math.pi * x)
 
 
-@lru_cache(maxsize=32)
-def _nc_block_counts(p: int) -> tuple[int, ...]:
-    """Number of non-crossing partitions of [p] with exactly b blocks,
-    b = 0..p."""
-    counts = [0] * (p + 1)
-    for partition in non_crossing_partitions(p):
-        counts[len(partition)] += 1
-    return tuple(counts)
-
-
-def mp_moment(c, p: int, cap: int = DEFAULT_NC_CAP):
+def mp_moment(c, p: int):
     """p-th moment of the free Poisson law: sum over non-crossing partitions
-    of c^{#blocks}.  Exact (Fraction) when c is exact; float otherwise."""
+    of c^{#blocks}, grouped by the Narayana number N(p, b) = C(p, b) C(p, b-1)
+    / p of those with b blocks.  Exact (Fraction) when c is exact; float
+    otherwise."""
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
         return Fraction(1) if isinstance(c, (int, Fraction)) else 1.0
-    if p > cap:
-        raise ValueError(f"p={p} exceeds the non-crossing enumeration cap {cap}")
-    counts = _nc_block_counts(p)
+    counts = [(b, math.comb(p, b) * math.comb(p, b - 1) // p) for b in range(1, p + 1)]
     if isinstance(c, (int, Fraction)):
-        return sum(Fraction(count) * Fraction(c) ** blocks for blocks, count in enumerate(counts) if count)
-    return float(sum(count * c**blocks for blocks, count in enumerate(counts)))
+        return sum(Fraction(count) * Fraction(c) ** blocks for blocks, count in counts)
+    return float(sum(count * c**blocks for blocks, count in counts))
 
 
 def mp_entropy_integral(c: float) -> float:
@@ -184,8 +173,6 @@ def entropy_prediction(regime: RegimeParams, n: int, k: int) -> EntropyPredictio
     c = float(regime.c)
     if d == 0:
         k_fixed = int(regime.c)
-        if k_fixed != regime.c:
-            raise ValueError("the d = 0 regime needs an integer ancilla dimension c = k")
         t = regime.t if regime.t is not None else Fraction(1, k_fixed)
         h = vn_entropy([float(x) for x in gamma_t_vector(t, k_fixed)])
         return EntropyPrediction("d=0 two-level", h, 2 * math.log(k_fixed) - h, True)

@@ -69,7 +69,8 @@ DEFAULT_PAIR_ORDER = 3
 @dataclass(frozen=True)
 class RegimeParams:
     """Growth-regime parameters: m/n -> b, ancilla k ~ c n^d, and the
-    fixed-ancilla Bell fraction t (meaningful only when d = 0)."""
+    fixed-ancilla Bell fraction t.  At d = 0 the ancilla is fixed, so c = k
+    must be an integer; t is accepted only there."""
 
     c: Fraction | float
     d: Fraction | float = Fraction(1)
@@ -81,8 +82,10 @@ class RegimeParams:
             raise ValueError("b and c must be positive")
         if self.d < 0:
             raise ValueError("d must be >= 0")
-        if self.t is not None and not 0 < self.t <= 1:
-            raise ValueError("t must lie in (0, 1]")
+        if self.t is not None and not (self.d == 0 and 0 < self.t <= 1):
+            raise ValueError(f"t needs d = 0 and 0 < t <= 1, got t={self.t}, d={self.d}")
+        if self.d == 0 and self.c % 1 != 0:
+            raise ValueError("the d = 0 regime needs an integer ancilla dimension c = k")
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +238,11 @@ def exact_moment_pinched(p: int, n: int, k: int, wg: WgTable | None = None) -> F
     return _single_sum(p, weights, n, n * k) / Fraction(n) ** (2 * p)
 
 
-def vanishing_cancellation_check(p: int, alpha: Permutation, max_order: int = DEFAULT_PAIR_ORDER) -> bool:
+def vanishing_cancellation_check(p: int, alpha: Permutation) -> bool:
     """For alpha in V = {sigma : sigma delta has a fixed point}, test that
         sum_f (-1)^{#Bell} x^{#Bell + |alpha f_hat^{-1}|}
     vanishes identically as a polynomial in x = 1/n.  Raises for alpha
     outside V, where the sum genuinely contributes."""
-    if p > max_order:
-        raise ValueError(f"p={p} exceeds the cap {max_order}")
     if alpha.degree != 2 * p:
         raise ValueError(f"alpha must live in S_{2 * p}")
     _, delta, _ = make_gamma_delta(p)
@@ -348,32 +349,38 @@ def _single_census(p: int, target: Permutation) -> _Census:
     return _census(_lengths(p), _lengths(p, target.inverse()) + _lengths(p, delta))
 
 
+def _check_order(p: int, pair: bool) -> None:
+    """Refuse, before anything is built, an order whose S_{2p} (single
+    problems) or S_{2p}^2 (pair problems) is past the cap."""
+    cap = DEFAULT_PAIR_ORDER if pair else DEFAULT_ENUMERATION_CAP // 2
+    if p > cap:
+        raise ValueError(f"p={p} exceeds the {'pair-search ' if pair else ''}cap {cap}")
+
+
 def _minimize_single(problem: str, p: int, d, target: Permutation) -> ExponentReport:
     d = Fraction(d)
     minimum, points = _best(_single_census(p, target), d, -p)
     return ExponentReport(problem=problem, p=p, d=d, minimum=minimum, minimizers=tuple(_perms_at(p, points)))
 
 
-def minimize_S2(p: int, d, max_order: int = 4) -> ExponentReport:
+def minimize_S2(p: int, d) -> ExponentReport:
     """Exhaustive minimization of S2(beta) = d|beta| + |beta gtilde^{-1}|
     + |beta delta| - p over S_{2p}.
 
     Answered from the order's census of at most 36 classes.  On a 2-vCPU
     VM that costs about 2 ms once per order at p = 4 (S_8's table aside),
     then 25-45 us a call."""
-    if p > max_order:
-        raise ValueError(f"p={p} exceeds the cap {max_order}")
+    _check_order(p, pair=False)
     _, _, gtilde = make_gamma_delta(p)
     return _minimize_single("S2", p, d, gtilde)
 
 
-def minimize_S1(p: int, d, max_order: int = 4) -> ExponentReport:
+def minimize_S1(p: int, d) -> ExponentReport:
     """Exhaustive minimization of S1(beta) = d|beta| + |beta gamma^{-1}|
     + |beta delta| - p over S_{2p}.
 
     Cost as for `minimize_S2`."""
-    if p > max_order:
-        raise ValueError(f"p={p} exceeds the cap {max_order}")
+    _check_order(p, pair=False)
     gamma, _, _ = make_gamma_delta(p)
     return _minimize_single("S1", p, d, gamma)
 
@@ -387,7 +394,7 @@ def _pair_census(p: int) -> _Census:
     return _census(_lengths(p)[:, None] + pair, (_lengths(p, gamma.inverse())[:, None] + _lengths(p, delta)) + pair)
 
 
-def minimize_S(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> ExponentReport:
+def minimize_S(p: int, d) -> ExponentReport:
     """Exhaustive minimization over pairs of
     S(alpha, beta) = d|alpha| + |alpha gamma^{-1}| + |beta delta|
     + (d+1)|alpha beta^{-1}| - p.
@@ -398,8 +405,7 @@ def minimize_S(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> ExponentReport
     p = 3 (the pair lengths over S_6^2, then one stable sort of the keys),
     then 20-80 us a call.
     """
-    if p > max_order:
-        raise ValueError(f"p={p} exceeds the pair-search cap {max_order}")
+    _check_order(p, pair=True)
     d = Fraction(d)
     minimum, points = _best(_pair_census(p), d, -p)
     alphas, betas = np.divmod(points, len(group_table(2 * p).perms))
@@ -425,7 +431,7 @@ def _pinched_pair_census(p: int) -> tuple[_Census, np.ndarray, np.ndarray]:
     return census, _frozen(rows), _frozen(choices)
 
 
-def minimize_S_pinched(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> ExponentReport:
+def minimize_S_pinched(p: int, d) -> ExponentReport:
     """Exhaustive minimization of the pinched exponent
     S(alpha, beta, f) = |beta delta| + d|alpha| + (d+1)|alpha beta^{-1}|
     + #Bell + |alpha f_hat^{-1}| + const(d, p)
@@ -440,8 +446,7 @@ def minimize_S_pinched(p: int, d, max_order: int = DEFAULT_PAIR_ORDER) -> Expone
     `minimize_S` has built the pair lengths (15 ms more otherwise), then
     about 90 us a call.
     """
-    if p > max_order:
-        raise ValueError(f"p={p} exceeds the pair-search cap {max_order}")
+    _check_order(p, pair=True)
     d = Fraction(d)
     if not (0 < d < 1 or 1 < d < 2):
         raise ValueError("the pinched exponent is defined for d in (0,1) or (1,2)")
@@ -566,8 +571,6 @@ def asymptotic_moment_conjugate(p: int, regime: RegimeParams) -> MomentPredictio
 
     if d == 0:
         k_fixed = int(c)
-        if k_fixed != c:
-            raise ValueError("the d = 0 regime needs an integer ancilla dimension c = k")
         t = regime.t if regime.t is not None else Fraction(1, k_fixed)
         top = float(t) + (1.0 - float(t)) / k_fixed**2
         low = (1.0 - float(t)) / k_fixed**2

@@ -39,6 +39,8 @@ DENSE_DIM_GUARD = 4096
 FACTORED_DIM_GUARD = 16_000_000
 #: Gram dimension up to which full eigendecompositions are used by default.
 FULL_SPECTRUM_CAP = 3000
+#: Most negative eigenvalue that `validate_psd` and `entropy_of` take as zero.
+_NEGATIVE_EIGENVALUE_TOL = 1e-10
 
 _FLAVORS = ("conjugate", "independent")
 
@@ -280,6 +282,8 @@ class DensityMatrix:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {entries.shape}")
         if check:
+            if not np.isfinite(entries).all():
+                raise ValueError("entries must be finite")
             scale = max(1.0, float(np.abs(entries).max()))
             herm_defect = float(np.abs(entries - entries.conj().T).max())
             if herm_defect > 1e-12 * scale:
@@ -294,10 +298,11 @@ class DensityMatrix:
         """Eigenvalues sorted descending."""
         return np.linalg.eigvalsh(self.entries)[::-1]
 
-    def validate_psd(self, tol: float = 1e-10) -> None:
+    def validate_psd(self) -> None:
         low = float(self.eigenvalues()[-1])
-        if low < -tol:
-            raise ValueError(f"negative eigenvalue {low:.3e} below -{tol:.0e}")
+        # a NaN spectrum compares False with everything, so it fails here
+        if not low >= -_NEGATIVE_EIGENVALUE_TOL:
+            raise ValueError(f"negative eigenvalue {low:.3e} below -{_NEGATIVE_EIGENVALUE_TOL:.0e}")
 
 
 class FactoredDensityMatrix:
@@ -420,8 +425,8 @@ def entropy_of(eigenvalues: Iterable[float]) -> float:
     vals = np.asarray(list(eigenvalues) if not isinstance(eigenvalues, np.ndarray) else eigenvalues, dtype=float)
     if not np.isfinite(vals).all():
         raise ValueError("eigenvalues must be finite")
-    if vals.size and float(vals.min()) < -1e-10:
-        raise ValueError(f"eigenvalue {vals.min():.3e} below -1e-10")
+    if vals.size and float(vals.min()) < -_NEGATIVE_EIGENVALUE_TOL:
+        raise ValueError(f"eigenvalue {vals.min():.3e} below -{_NEGATIVE_EIGENVALUE_TOL:.0e}")
     vals = np.clip(vals, 0.0, None)
     pos = vals[vals > 0]
     h = float(-(pos * np.log(pos)).sum())

@@ -19,12 +19,12 @@ from typing import Iterator
 
 import numpy as np
 
-#: Largest group degree `m` that `all_permutations` enumerates by default and
+#: Largest group degree `m` that `all_permutations` enumerates and
 #: `group_table` builds.  Only the exact moments' census and the exponent
 #: minimizations read a table, that of S_2p, so they stop at p = 4.  S_8 has
 #: 40320 elements.
 DEFAULT_ENUMERATION_CAP = 8
-#: Non-crossing partition enumeration cap; NC(12) has 208012 elements.
+#: Largest p that `non_crossing_partitions` enumerates; NC(12) has 208012 elements.
 DEFAULT_NC_CAP = 12
 
 
@@ -156,11 +156,9 @@ class LabeledIndex:
     def from_label(cls, index: int, block: str, p: int) -> "LabeledIndex":
         if not 1 <= index <= p:
             raise ValueError(f"label index {index} outside [1, {p}]")
-        if block == "B":
-            return cls(p - index, index, "B")
-        if block == "T":
-            return cls(p + index - 1, index, "T")
-        raise ValueError(f"block must be 'T' or 'B', got {block!r}")
+        if block not in ("B", "T"):
+            raise ValueError(f"block must be 'T' or 'B', got {block!r}")
+        return cls((_bpos if block == "B" else _tpos)(index, p), index, block)
 
 
 def identity(m: int) -> Permutation:
@@ -240,14 +238,14 @@ def catalan(i: int) -> int:
     return math.comb(2 * i, i) // (i + 1)
 
 
-def non_crossing_partitions(p: int, cap: int = DEFAULT_NC_CAP) -> Iterator[tuple[tuple[int, ...], ...]]:
+def non_crossing_partitions(p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All non-crossing partitions of {0, ..., p-1}.
 
     Generated by choosing the block of the smallest element as a sparse
     subset and recursing on the gaps it leaves, which cannot cross it.
     """
-    if p > cap:
-        raise ValueError(f"p={p} exceeds the non-crossing enumeration cap {cap}")
+    if p > DEFAULT_NC_CAP:
+        raise ValueError(f"p={p} exceeds the non-crossing enumeration cap {DEFAULT_NC_CAP}")
 
     def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if not points:
@@ -326,29 +324,21 @@ def make_gamma_delta(p: int) -> tuple[Permutation, Permutation, Permutation]:
 
     They satisfy ``gamma = compose(transposition(1^B, p^T), gamma_tilde)``,
     i.e. gamma_tilde, then the transposition; gamma and gamma_tilde are at
-    distance one.
+    distance one.  The transposition is an involution, so gamma_tilde is
+    built as ``compose(transposition(1^B, p^T), gamma)``.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    gtil = [0] * (2 * p)
-    for i in range(1, p + 1):
-        gtil[_tpos(i, p)] = _tpos(i - 1, p) if i > 1 else _bpos(1, p)
-        gtil[_bpos(i, p)] = _bpos(i + 1, p) if i < p else _tpos(p, p)
-    return leg_wiring("I" * p), leg_wiring("E" * p), Permutation(tuple(gtil))
+    gamma = leg_wiring("I" * p)
+    return gamma, leg_wiring("E" * p), compose(transposition(2 * p, _bpos(1, p), _tpos(p, p)), gamma)
 
 
-def all_permutations(m: int, max_degree: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:
-    """All m! elements of S_m in lexicographic order of one-line notation.
-
-    Guarded by ``max_degree``; raise it explicitly to enumerate larger groups.
-    """
-    if m > max_degree:
-        raise ValueError(
-            f"enumeration of S_{m} exceeds the cap {max_degree}; "
-            "pass a larger max_degree to opt in"
-        )
-    for images in itertools.permutations(range(m)):
-        yield Permutation(images)
+def all_permutations(m: int) -> Iterator[Permutation]:
+    """All m! elements of S_m in lexicographic order of one-line notation,
+    for m up to `DEFAULT_ENUMERATION_CAP`."""
+    if m > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration of S_{m} exceeds the cap {DEFAULT_ENUMERATION_CAP}")
+    return (Permutation(images) for images in itertools.permutations(range(m)))
 
 
 def random_permutation(m: int, rng: np.random.Generator) -> Permutation:

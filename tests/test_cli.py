@@ -97,8 +97,7 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["minimize", "--p", "0", "--d", "1"],
         ["minimize", "--p", "-1", "--d", "1"],
         *[
-            ["compare", "--n", "3", "--k", "3", "--trials", "10", "--seed", "1", "--strict", option, value]
-            for option in ("--z-threshold", "--rescale")
+            ["compare", "--n", "3", "--k", "3", "--trials", "10", "--seed", "1", "--strict", "--z-threshold", value]
             for value in ("-1", "0", "nan", "inf")
         ],
         ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--scale", "inf"],
@@ -134,6 +133,11 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["simulate", "--n", "8", "--trials", "2", "--seed", "-1"],
         ["compare", "--n", "3", "--k", "3", "--trials", "2", "--seed", "-1"],
         ["entropy", "--d", "1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "-1"],
+        # --t is the fixed-ancilla Bell fraction: entropy predicts it only at d = 0, integer c
+        ["entropy", "--d", "1", "--c", "1/2", "--t", "1/2", "--n-list", "4,8", "--trials", "2", "--seed", "1"],
+        ["entropy", "--d", "1/2", "--c", "1", "--t", "1/2", "--n-list", "4", "--trials", "2", "--seed", "1"],
+        ["entropy", "--d", "2", "--c", "1", "--t", "1", "--n-list", "2", "--trials", "2", "--seed", "1"],
+        ["entropy", "--d", "0", "--c", "5/2", "--n-list", "4", "--trials", "2", "--seed", "1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):
@@ -270,12 +274,18 @@ def test_compare_conjugate_strict_passes(capsys):
     assert abs(float(rows[1]["z_exact"])) <= 4
 
 
-def test_compare_strict_fails_on_corrupted_scale(capsys):
+def test_compare_strict_fails_on_corrupted_scale(capsys, monkeypatch):
+    # every Monte Carlo estimate 1.5 times too large, as from a miscalibrated sampler
+    def scaled(method):
+        return lambda self, *args, **kwargs: 1.5 * method(self, *args, **kwargs)
+
+    for name in ("mean", "stderr"):
+        monkeypatch.setattr(montecarlo.MomentEnsemble, name, scaled(getattr(montecarlo.MomentEnsemble, name)))
     code, _, err = run_cli(
         capsys,
         [
             "compare", "--n", "2", "--k", "2", "--p-max", "2", "--trials", "2000",
-            "--seed", "5", "--strict", "--rescale", "1.5",
+            "--seed", "5", "--strict",
         ],
     )
     assert code == 3
@@ -285,8 +295,7 @@ def test_compare_strict_fails_on_corrupted_scale(capsys):
 def test_compare_strict_rejects_single_trial(capsys):
     code, out, err = run_cli(
         capsys,
-        ["compare", "--n", "3", "--k", "3", "--p-max", "2", "--trials", "1", "--seed", "7",
-         "--strict", "--rescale", "100"],
+        ["compare", "--n", "3", "--k", "3", "--p-max", "2", "--trials", "1", "--seed", "7", "--strict"],
     )
     assert code == 2
     assert out == ""

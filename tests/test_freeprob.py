@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wgchan.freeprob import (
-    DEFAULT_NC_CAP,
     MarchenkoPastur,
     entropy_prediction,
     gamma_t_vector,
@@ -13,10 +12,10 @@ from wgchan.freeprob import (
     mp_entropy_integral,
     mp_moment,
     naive_bound,
-    non_crossing_partitions,
     vn_entropy,
 )
 from wgchan.moments import RegimeParams
+from wgchan.perm import DEFAULT_NC_CAP, non_crossing_partitions
 
 
 def catalan(i):
@@ -84,9 +83,16 @@ def test_mp_moment_catalan_at_c1():
         assert mp_moment(1, p) == catalan(p)
 
 
-def test_mp_moment_cap():
+def test_mp_moment_is_the_non_crossing_sum():
+    for c in (Fraction(3, 7), 2):
+        for p in range(1, 11):
+            assert mp_moment(c, p) == sum(Fraction(c) ** len(blocks) for blocks in non_crossing_partitions(p))
+
+
+def test_mp_moment_past_the_enumeration_cap():
     with pytest.raises(ValueError):
-        mp_moment(1.0, DEFAULT_NC_CAP + 1)
+        non_crossing_partitions(DEFAULT_NC_CAP + 1)
+    assert mp_moment(1, 20) == catalan(20)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Import structure: `import wgchan` loads no layer, each exported name loads
 its own layer on first use, and each CLI command loads only the layers it
-runs.  Every check runs in a fresh interpreter, since the test process has
-long since imported everything."""
+runs.  Every import check runs in a fresh interpreter, since the test process
+has long since imported everything.  Also: no exported callable takes a cap
+or tolerance argument."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -138,3 +140,20 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert loaded() == {layers!r}, loaded()
 """
     )
+
+
+def test_no_cap_or_tolerance_parameters():
+    # size caps and tolerances are module constants checked at the entry
+    # point; wg_exact keeps max_order because the benchmark passes it
+    objects = {name: getattr(wgchan, name) for name in wgchan.__all__}
+    for cls in (wgchan.MarchenkoPastur, wgchan.DensityMatrix):
+        objects.update({f"{cls.__name__}.{name}": f for name, f in vars(cls).items() if inspect.isfunction(f)})
+    knobs = {"cap", "max_order", "max_degree", "nodes", "tol"}
+    found = {
+        (name, param)
+        for name, obj in objects.items()
+        if callable(obj)
+        for param in inspect.signature(obj).parameters
+        if param in knobs
+    }
+    assert found == {("wg_exact", "max_order")}

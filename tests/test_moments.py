@@ -340,6 +340,8 @@ def test_minimize_caps():
         minimize_S(4, 1)
     with pytest.raises(ValueError):
         minimize_S1(5, 1)
+    with pytest.raises(ValueError):
+        minimize_S2(5, 1)
 
 
 def test_minimizers_attain_minimum():
@@ -544,3 +546,5 @@ def test_regime_validation():
         RegimeParams(c=1, d=-1)
     with pytest.raises(ValueError):
         RegimeParams(c=1, t=2)
+    with pytest.raises(ValueError):
+        RegimeParams(c=1, d=1, t=Fraction(1, 2))

@@ -472,6 +472,11 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.6, 0.1], [0.3, 0.4]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2))  # trace 2
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.full((2, 2), bad))
+    with pytest.raises(ValueError):
+        DensityMatrix(np.full((2, 2), np.nan), check=False).validate_psd()
     dm = DensityMatrix(np.eye(2) / 2)
     dm.validate_psd()
 
