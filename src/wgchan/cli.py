@@ -116,11 +116,6 @@ def _rational(option: str, text: str | None) -> Fraction | None:
         raise CliError(f"cannot parse {option}={text!r} as a rational number") from exc
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise CliError(f"--threads must be >= 1, got {threads}")
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise CliError(f"--seed must be >= 0, got {seed}")
@@ -218,10 +213,7 @@ def _render_minimizers(report) -> str:
 
 
 def _label_one(entry, labels) -> str:
-    try:
-        return labels.get(entry, str(getattr(entry, "images", entry)))
-    except TypeError:
-        return str(entry)
+    return labels.get(entry, str(getattr(entry, "images", entry)))
 
 
 def cmd_minimize(args) -> int:
@@ -268,7 +260,6 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_threads(args.threads)
     _check_seed(args.seed)
     c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
     from . import montecarlo
@@ -295,16 +286,14 @@ def cmd_simulate(args) -> int:
         "bulk_m3",
         "bulk_m4",
     ]
-    scale, drop_largest, _ = montecarlo.ensemble_settings(spec, args.trials, args.scale, args.drop_largest)
+    stream = montecarlo.iter_trial_statistics(spec, args.trials, args.seed)  # checks before any output
     with _writer(args, columns, config) as row:
         trials = []
-        for trial, stats in montecarlo.iter_trial_statistics(
-            spec, args.trials, args.seed, scale=scale, drop_largest=drop_largest, threads=args.threads
-        ):
+        for trial, stats in stream:
             stats["bulk_mean"] = stats["bulk_m1"]
             trials.append(stats)
             row({"row": "trial", "trial": trial, **stats})
-        report = montecarlo.EnsembleReport.from_trials(spec, args.seed, scale, drop_largest, trials)
+        report = montecarlo.EnsembleReport.from_trials(spec, args.seed, trials)
         for kind, aggregate in (("mean", report.mean), ("stderr", report.stderr)):
             row({"row": kind, **{name: aggregate(name) for name in report.per_trial}})
     return 0
@@ -415,7 +404,6 @@ def _z(mean: float, stderr: float, reference: float) -> float:
 
 
 def cmd_entropy(args) -> int:
-    _check_threads(args.threads)
     _check_seed(args.seed)
     c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
     from . import freeprob, montecarlo
@@ -450,9 +438,7 @@ def cmd_entropy(args) -> int:
     predictions = [freeprob.entropy_prediction(regime, spec.n, spec.k) for spec in specs]
     with _writer(args, columns, config) as row:
         for spec, prediction in zip(specs, predictions):
-            report = montecarlo.run_ensemble(
-                spec, args.trials, args.seed, full_spectrum=True, threads=args.threads
-            )
+            report = montecarlo.run_ensemble(spec, args.trials, args.seed, full_spectrum=True)
             h_mean = report.mean("entropy")
             h_se = report.stderr("entropy")
             cap = 2 * math.log(min(spec.k, spec.n))
@@ -518,9 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--t", default=None, help="Bell fraction m = t n k (rational)")
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--scale", type=float, default=None)
-    p_sim.add_argument("--drop-largest", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=1)
     add_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -545,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--n-list", required=True, help="comma-separated output dimensions")
     p_ent.add_argument("--trials", type=int, required=True)
     p_ent.add_argument("--seed", type=int, required=True)
-    p_ent.add_argument("--threads", type=int, default=1)
     add_output(p_ent)
     p_ent.set_defaults(func=cmd_entropy)
 

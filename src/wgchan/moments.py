@@ -34,6 +34,7 @@ enters B once per alpha.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,10 +79,11 @@ class RegimeParams:
     t: Fraction | float | None = None
 
     def __post_init__(self):
-        if self.b <= 0 or self.c <= 0:
-            raise ValueError("b and c must be positive")
-        if self.d < 0:
-            raise ValueError("d must be >= 0")
+        # NaN compares False with everything, so it fails these checks
+        if not (0 < self.b < math.inf and 0 < self.c < math.inf):
+            raise ValueError("b and c must be finite and positive")
+        if not 0 <= self.d < math.inf:
+            raise ValueError("d must be finite and >= 0")
         if self.t is not None and not (self.d == 0 and 0 < self.t <= 1):
             raise ValueError(f"t needs d = 0 and 0 < t <= 1, got t={self.t}, d={self.d}")
         if self.d == 0 and self.c % 1 != 0:

@@ -132,8 +132,7 @@ def _herk_blocks(blocks: Iterable[np.ndarray], outer: bool = False) -> np.ndarra
     Haswell kernels).
 
     scipy is imported only here and for the blocks of `_complex_factor`, so
-    no other path pays for the import; Python's import lock makes the first
-    call safe from several threads at once."""
+    no other path pays for the import."""
     from scipy.linalg.blas import zherk
 
     trans = 2 if outer else 0
@@ -315,18 +314,17 @@ class FactoredDensityMatrix:
     for the maximally entangled unit vector e on the output space, enough to
     pinch by Q = I - ee*.
 
-    With ``real_basis`` (the conjugate flavor) W is the real factor
-    W' = U_n* W U_k of the module docstring, which obeys conj(W) = S_n W S_k,
-    so ``gram`` and ``bell_overlap`` are real arrays in that basis.  Spectra,
-    trace powers and pinching do not depend on it.
+    For the conjugate flavor W is the real factor W' = U_n* W U_k of the
+    module docstring, which obeys conj(W) = S_n W S_k, so ``gram`` and
+    ``bell_overlap`` are real arrays in that basis; a real ``gram`` marks it.
+    Spectra, trace powers and pinching do not depend on it.
     """
 
-    def __init__(self, n: int, k: int, gram: np.ndarray, bell_overlap: np.ndarray | None, real_basis: bool = False):
+    def __init__(self, n: int, k: int, gram: np.ndarray, bell_overlap: np.ndarray | None):
         self.n = n
         self.k = k
         self.gram = gram
         self.bell_overlap = bell_overlap
-        self.real_basis = real_basis
         self._eigs: np.ndarray | None = None
 
     @property
@@ -370,9 +368,9 @@ class FactoredDensityMatrix:
         g = self.bell_overlap
         if self.side == "ancilla" and g is None:
             raise ValueError("no Bell overlap stored; cannot pinch")
-        gram = _pinch(self.gram, g, _basis_bell(self.n, self.real_basis))
+        gram = _pinch(self.gram, g, bell_vector(self.n, self.gram.dtype))
         overlap = None if g is None else np.zeros_like(g)
-        return FactoredDensityMatrix(self.n, self.k, gram, overlap, self.real_basis)
+        return FactoredDensityMatrix(self.n, self.k, gram, overlap)
 
 
 def _lanczos_lambda1(
@@ -433,17 +431,12 @@ def entropy_of(eigenvalues: Iterable[float]) -> float:
     return 0.0 if h <= 0 else h
 
 
-def bell_vector(n: int) -> np.ndarray:
-    """Maximally entangled unit vector (1/sqrt(n)) sum_a |aa> on C^n (x) C^n."""
-    e = np.zeros(n * n, dtype=complex)
+def bell_vector(n: int, dtype=complex) -> np.ndarray:
+    """Maximally entangled unit vector (1/sqrt(n)) sum_a |aa> on C^n (x) C^n,
+    in `dtype`; a real one is e in the real basis too (U_n* e = e)."""
+    e = np.zeros(n * n, dtype=dtype)
     e[np.arange(n) * n + np.arange(n)] = 1.0 / math.sqrt(n)
     return e
-
-
-def _basis_bell(n: int, real_basis: bool) -> np.ndarray:
-    """The Bell vector e, real in the real basis (U_n* e = e)."""
-    e = bell_vector(n)
-    return e.real if real_basis else e
 
 
 def bell_state(m: int) -> DensityMatrix:
@@ -670,9 +663,8 @@ def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
     _check_factor_size(spec)
     rng = _as_rng(seed)
     v_a = _stinespring_isometry(spec, rng)
-    real_basis = spec.flavor == "conjugate"
     n, k = spec.n, spec.k
-    if real_basis:
+    if spec.flavor == "conjugate":
         w = _real_factor(spec, v_a)
     else:
         v_b = _stinespring_isometry(spec, rng)
@@ -681,7 +673,7 @@ def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
         else:
             w = _complex_factor(spec, v_a.reshape(n, k, spec.m), v_b)
     gram, overlap = _gram_of_factor(n, k, w)
-    return FactoredDensityMatrix(n, k, gram, overlap, real_basis)
+    return FactoredDensityMatrix(n, k, gram, overlap)
 
 
 @dataclass(frozen=True)
@@ -714,19 +706,16 @@ class SpectralReport:
 def spectral_report(z, scale: float = 1.0, drop_largest: int = 0) -> SpectralReport:
     """Eigendecompose, sort, and summarize a density matrix (dense array,
     DensityMatrix, or FactoredDensityMatrix) whose eigenvalues sum to 1.
-    The bulk must keep at least one eigenvalue after `drop_largest`."""
+    A dense array is checked as a `DensityMatrix` (finite, Hermitian to
+    1e-12 relative, unit trace).  The bulk must keep at least one eigenvalue
+    after `drop_largest`."""
     if not 0 < scale < math.inf:
         raise ValueError("scale must be finite and positive")
     if not 0 <= drop_largest <= 2:
         raise ValueError("drop_largest must be in {0, 1, 2}")
-    if isinstance(z, (DensityMatrix, FactoredDensityMatrix)):
-        eigs = z.eigenvalues()
-    else:
-        arr = np.asarray(z)
-        defect = float(np.abs(arr - arr.conj().T).max())
-        if defect > 1e-10 * max(1.0, float(np.abs(arr).max())):
-            raise ValueError(f"input not Hermitian: defect {defect:.3e}")
-        eigs = np.linalg.eigvalsh(arr)[::-1]
+    if not isinstance(z, (DensityMatrix, FactoredDensityMatrix)):
+        z = DensityMatrix(z)
+    eigs = z.eigenvalues()
     if drop_largest >= len(eigs):
         raise ValueError(f"drop_largest={drop_largest} must be less than the number of eigenvalues, {len(eigs)}")
     total = float(eigs.sum())
@@ -760,7 +749,8 @@ class EnsembleReport:
     """Per-trial statistics with mean/stderr aggregation.
 
     Deterministic given (spec, trials, seed): trial t draws from
-    ``default_rng([seed, t])`` regardless of how trials are scheduled.
+    ``default_rng([seed, t])``, so the first trials of a longer run are
+    those of a shorter one.
     """
 
     spec: ChannelSpec
@@ -780,11 +770,10 @@ class EnsembleReport:
         return stderr_of(self.per_trial[name])
 
     @classmethod
-    def from_trials(
-        cls, spec: ChannelSpec, seed: int, scale: float, drop_largest: int, stats: list[dict[str, float]]
-    ) -> EnsembleReport:
+    def from_trials(cls, spec: ChannelSpec, seed: int, stats: list[dict[str, float]]) -> EnsembleReport:
         """The report of per-trial statistics dicts, in trial order, as
         `iter_trial_statistics` yields them."""
+        scale, drop_largest, _ = ensemble_settings(spec, len(stats))
         per_trial = {name: np.array([s[name] for s in stats]) for name in stats[0]}
         return cls(spec, len(stats), seed, scale, drop_largest, per_trial)
 
@@ -806,100 +795,55 @@ def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
         stats["lambda1"] = lam1
         stats["lambda1_iters"] = iters
         stats["lambda1_converged"] = converged
-        top = [lam1] if drop_largest == 1 else []
         denom = support - drop_largest
         for p in range(1, 5):
-            removed = sum(t**p for t in top)
+            removed = lam1**p if drop_largest else 0.0
             stats[f"bulk_m{p}"] = (traces[p - 1] - removed) * scale**p / denom
         stats["bulk_std"] = math.sqrt(max(stats["bulk_m2"] - stats["bulk_m1"] ** 2, 0.0))
     return stats
 
 
-def ensemble_settings(
-    spec: ChannelSpec,
-    trials: int,
-    scale: float | None = None,
-    drop_largest: int | None = None,
-    full_spectrum: bool | None = None,
-) -> tuple[float, int, bool]:
-    """(scale, drop_largest, full_spectrum) of `run_ensemble` with its
-    defaults filled in; raise ValueError for arguments it rejects, before any
-    trial runs.  The trace route can drop only lambda_1 from the bulk, and
-    the bulk must keep at least one of the min(n, k)^2 eigenvalues, so the
-    conjugate default drops lambda_1 only when there are two or more."""
+def ensemble_settings(spec: ChannelSpec, trials: int, full_spectrum: bool | None = None) -> tuple[float, int, bool]:
+    """(scale, drop_largest, full_spectrum) of `run_ensemble` for `spec`;
+    raise ValueError for arguments it rejects, before any trial runs.  The
+    bulk is rescaled by k^2 (the c^2 n^2 of the limit theorems expressed
+    through the actual ancilla dimension) and loses lambda_1 for the
+    conjugate flavor, whose outlier it is, unless lambda_1 is the only one
+    of the min(n, k)^2 eigenvalues.  `full_spectrum` defaults to a full
+    eigensolve for at most `FULL_SPECTRUM_CAP` of them."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_factor_size(spec)
     support = min(spec.n, spec.k) ** 2
-    if scale is None:
-        scale = float(spec.k * spec.k)
-    if drop_largest is None:
-        drop_largest = 1 if spec.flavor == "conjugate" and support > 1 else 0
+    drop_largest = 1 if spec.flavor == "conjugate" and support > 1 else 0
     if full_spectrum is None:
         full_spectrum = support <= FULL_SPECTRUM_CAP
-    if not 0 < scale < math.inf:
-        raise ValueError("scale must be finite and positive")
-    if not 0 <= drop_largest <= (2 if full_spectrum else 1):
-        raise ValueError(
-            "drop_largest must be in {0, 1, 2}" if full_spectrum else "drop_largest must be 0 or 1 on the trace route"
-        )
-    if drop_largest >= support:
-        raise ValueError(f"drop_largest={drop_largest} must be less than the number of eigenvalues, {support}")
-    return scale, drop_largest, full_spectrum
+    return float(spec.k * spec.k), drop_largest, full_spectrum
 
 
-def iter_trial_statistics(
-    spec: ChannelSpec,
-    trials: int,
-    seed: int,
-    scale: float | None = None,
-    drop_largest: int | None = None,
-    full_spectrum: bool | None = None,
-    threads: int = 1,
-):
-    """Yield (trial index, statistics dict) in trial order; with threads > 1
-    later trials compute in the background, but the order and the values are
-    identical to the serial run."""
-    scale, drop_largest, full_spectrum = ensemble_settings(spec, trials, scale, drop_largest, full_spectrum)
-
-    def one(t: int) -> dict[str, float]:
-        return _trial_statistics(spec, trial_rng(seed, t), scale, drop_largest, full_spectrum)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from enumerate(pool.map(one, range(trials)))
-    else:
-        for t in range(trials):
-            yield t, one(t)
+def iter_trial_statistics(spec: ChannelSpec, trials: int, seed: int, full_spectrum: bool | None = None):
+    """Check the arguments by `ensemble_settings`, then return an iterator
+    of (trial index, statistics dict) that runs the trials one at a time,
+    in order, as it is read."""
+    scale, drop_largest, full_spectrum = ensemble_settings(spec, trials, full_spectrum)
+    return (
+        (t, _trial_statistics(spec, trial_rng(seed, t), scale, drop_largest, full_spectrum)) for t in range(trials)
+    )
 
 
-def run_ensemble(
-    spec: ChannelSpec,
-    trials: int,
-    seed: int,
-    scale: float | None = None,
-    drop_largest: int | None = None,
-    full_spectrum: bool | None = None,
-    threads: int = 1,
-) -> EnsembleReport:
-    """Independent seeded trials of `product_output`, aggregated.
+def run_ensemble(spec: ChannelSpec, trials: int, seed: int, full_spectrum: bool | None = None) -> EnsembleReport:
+    """Independent seeded trials of `product_output`, aggregated, with the
+    bulk settings of `ensemble_settings`.
 
-    Defaults: bulk rescaling k^2 (the c^2 n^2 of the limit theorems expressed
-    through the actual ancilla dimension) and one dropped outlier for the
-    conjugate flavor with two or more eigenvalues, none otherwise.  Entropy
-    is computed only on the full-spectrum path (small spectral carrier, or
-    `full_spectrum=True`).  The trace route instead records, per trial,
-    the Lanczos steps behind lambda_1 (`lambda1_iters`, at most 120) and
-    whether its top Ritz value settled to 1e-12 relative between steps
+    Entropy is computed only on the full-spectrum path (small spectral
+    carrier, or `full_spectrum=True`).  The trace route instead records, per
+    trial, the Lanczos steps behind lambda_1 (`lambda1_iters`, at most 120)
+    and whether its top Ritz value settled to 1e-12 relative between steps
     (`lambda1_converged`); they are 0 and True when lambda_1 comes from a
-    full eigensolve.  Trial t draws from
-    ``default_rng([seed, t])``, so the result does not depend on `threads`.
+    full eigensolve.  Trial t draws from ``default_rng([seed, t])``.
     """
-    scale, drop_largest, full_spectrum = ensemble_settings(spec, trials, scale, drop_largest, full_spectrum)
-    stats = [s for _, s in iter_trial_statistics(spec, trials, seed, scale, drop_largest, full_spectrum, threads)]
-    return EnsembleReport.from_trials(spec, seed, scale, drop_largest, stats)
+    stats = [s for _, s in iter_trial_statistics(spec, trials, seed, full_spectrum)]
+    return EnsembleReport.from_trials(spec, seed, stats)
 
 
 @dataclass
@@ -962,7 +906,7 @@ def moment_ensemble(
     real_basis = spec.flavor == "conjugate"
     draws = 1 if real_basis else 2
     size_cap = max(1, min(_MOMENT_BATCH, _MOMENT_BATCH_ENTRIES // max(n * n * k * k, draws * n * k * m)))
-    e = _basis_bell(n, real_basis)
+    e = bell_vector(n, float if real_basis else complex)
 
     rng = np.random.default_rng(seed)
     traces = np.empty((trials, p_max))

@@ -91,7 +91,6 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["compare", "--n", "3", "--k", "3", "--p-max", "5", "--trials", "10", "--seed", "1"],
         ["compare", "--n", "3", "--k", "3", "--p-max", "0", "--trials", "10", "--seed", "1"],
         ["compare", "--n", "3", "--k", "3", "--trials", "0", "--seed", "1"],
-        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--drop-largest", "3"],
         ["simulate", "--n", "8", "--trials", "0", "--seed", "1"],
         ["entropy", "--d", "0", "--c", "2", "--n-list", "8", "--trials", "0", "--seed", "1"],
         ["minimize", "--p", "0", "--d", "1"],
@@ -100,11 +99,6 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
             ["compare", "--n", "3", "--k", "3", "--trials", "10", "--seed", "1", "--strict", "--z-threshold", value]
             for value in ("-1", "0", "nan", "inf")
         ],
-        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--scale", "inf"],
-        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--scale", "nan"],
-        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "0"],
-        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "-2"],
-        ["entropy", "--d", "1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1", "--threads", "0"],
         ["exact-moments", "--n", "3", "--k", "3", "--m", "0"],
         ["exact-moments", "--n", "3", "--k", "3", "--m", "-3"],
         ["minimize", "--p", "2", "--d", "1/0"],
@@ -126,9 +120,6 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         # n < 1, which with a fractional d would otherwise reach a complex power
         ["simulate", "--n", "-3", "--d", "1/2", "--trials", "1", "--seed", "1"],
         ["entropy", "--d", "1/2", "--c", "1", "--n-list", "-4", "--trials", "1", "--seed", "1"],
-        # dropping every eigenvalue of a min(n, k)^2 = 1 spectrum from the bulk
-        ["simulate", "--n", "5", "--c", "1", "--d", "0", "--drop-largest", "1", "--trials", "2", "--seed", "1"],
-        ["simulate", "--n", "1", "--c", "3", "--d", "0", "--drop-largest", "2", "--trials", "2", "--seed", "1"],
         # a seed numpy's streams cannot take
         ["simulate", "--n", "8", "--trials", "2", "--seed", "-1"],
         ["compare", "--n", "3", "--k", "3", "--trials", "2", "--seed", "-1"],
@@ -138,6 +129,15 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["entropy", "--d", "1/2", "--c", "1", "--t", "1/2", "--n-list", "4", "--trials", "2", "--seed", "1"],
         ["entropy", "--d", "2", "--c", "1", "--t", "1", "--n-list", "2", "--trials", "2", "--seed", "1"],
         ["entropy", "--d", "0", "--c", "5/2", "--n-list", "4", "--trials", "2", "--seed", "1"],
+        # an ancilla, input or regime parameter out of range
+        ["simulate", "--n", "8", "--c", "0", "--trials", "2", "--seed", "1"],
+        ["simulate", "--n", "8", "--t", "0", "--trials", "2", "--seed", "1"],
+        ["simulate", "--n", "8", "--t", "3/7", "--trials", "2", "--seed", "1"],
+        ["entropy", "--d", "1", "--c", "0", "--n-list", "4", "--trials", "2", "--seed", "1"],
+        ["entropy", "--d", "1", "--c=-1/2", "--n-list", "4", "--trials", "2", "--seed", "1"],
+        ["entropy", "--d=-1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1"],
+        ["compare", "--n", "3", "--k", "0", "--trials", "2", "--seed", "1"],
+        ["compare", "--n", "3", "--k", "3", "--m", "2", "--trials", "2", "--seed", "1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):
@@ -148,6 +148,14 @@ def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, argv + ["--out", str(target)])
     assert (code, out) == (2, "")
     assert not target.exists()
+
+
+def test_removed_ensemble_options_are_usage_errors(capsys):
+    # trials run serially with the bulk settings taken from the channel
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_runs_without_scipy():
@@ -499,13 +507,6 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rows = csv_rows(target.read_text())
     assert rows[0]["cycle_type"] == "1+1"
-
-
-def test_simulate_threads_do_not_change_output(capsys):
-    base = ["simulate", "--n", "8", "--c", "1", "--d", "1", "--trials", "6", "--seed", "14"]
-    _, out1, _ = run_cli(capsys, base)
-    _, out2, _ = run_cli(capsys, base + ["--threads", "2"])
-    assert out1 == out2
 
 
 # ---------------------------------------------------------------------------

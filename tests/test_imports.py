@@ -103,7 +103,7 @@ for argv, code in (
     (["wg", "--n", "2", "--p", "5"], 2),
     (["minimize", "--p", "0", "--d", "1"], 2),
     (["compare", "--n", "3", "--k", "3", "--trials", "9", "--seed", "1", "--z-threshold", "nan"], 2),
-    (["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "0"], 2),
+    (["simulate", "--n", "8", "--trials", "2", "--seed", "-1"], 2),
     (["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--t", "1/0"], 2),
 ):
     sys.argv = ["wgchan", *argv]
@@ -144,11 +144,12 @@ assert loaded() == {layers!r}, loaded()
 
 def test_no_cap_or_tolerance_parameters():
     # size caps and tolerances are module constants checked at the entry
-    # point; wg_exact keeps max_order because the benchmark passes it
+    # point, and trials run serially; wg_exact keeps max_order because the
+    # benchmark passes it
     objects = {name: getattr(wgchan, name) for name in wgchan.__all__}
     for cls in (wgchan.MarchenkoPastur, wgchan.DensityMatrix):
         objects.update({f"{cls.__name__}.{name}": f for name, f in vars(cls).items() if inspect.isfunction(f)})
-    knobs = {"cap", "max_order", "max_degree", "nodes", "tol"}
+    knobs = {"cap", "max_order", "max_degree", "nodes", "tol", "threads"}
     found = {
         (name, param)
         for name, obj in objects.items()

@@ -548,3 +548,8 @@ def test_regime_validation():
         RegimeParams(c=1, t=2)
     with pytest.raises(ValueError):
         RegimeParams(c=1, d=1, t=Fraction(1, 2))
+    # NaN and infinities fail closed
+    for bad in (math.nan, math.inf, -math.inf):
+        for kwargs in ({"c": bad}, {"c": 1, "b": bad}, {"c": 1, "d": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                RegimeParams(**kwargs)

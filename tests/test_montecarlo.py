@@ -528,6 +528,9 @@ def test_spectral_report_validation():
         spectral_report(np.eye(3, dtype=complex))  # trace 3
     with pytest.raises(ValueError):
         spectral_report(np.array([[0.5, 0.2], [0.1, 0.5]]))  # not Hermitian
+    for bad in (math.inf, math.nan):  # refused before any arithmetic on it
+        with pytest.raises(ValueError, match="finite"):
+            spectral_report(np.array([[bad, 0.0], [0.0, 0.0]]))
     for eigs, drop in ((1, 1), (2, 2)):  # nothing left in the bulk
         message = f"drop_largest={drop} must be less than the number of eigenvalues, {eigs}$"
         with pytest.raises(ValueError, match=message):
@@ -565,12 +568,14 @@ def test_run_ensemble_stderr_shrinks():
     assert 1.2 < ratio < 3.4  # ~2 expected for 4x the trials
 
 
-def test_run_ensemble_threads_deterministic():
+def test_run_ensemble_trials_extend_as_a_prefix():
+    # trial t draws from default_rng([seed, t]), so more trials only append
     spec = conjugate_spec(5, 3)
-    a = run_ensemble(spec, 8, 15, threads=1)
-    b = run_ensemble(spec, 8, 15, threads=2)
-    for name in a.names():
-        assert np.array_equal(a.per_trial[name], b.per_trial[name])
+    short = run_ensemble(spec, 4, 15)
+    long = run_ensemble(spec, 8, 15)
+    assert short.names() == long.names()
+    for name in short.names():
+        assert np.array_equal(short.per_trial[name], long.per_trial[name][:4])
 
 
 def test_trace_route_agrees_with_full_spectrum():
