@@ -220,6 +220,8 @@ def cmd_minimize(args) -> int:
     if args.p < 1:
         raise CliError(f"p={args.p} must be >= 1")
     d_values = [_rational("--d", text) for text in args.d]
+    if min(d_values) < 0:
+        raise CliError(f"--d={min(d_values)} must be >= 0")
     from . import moments
 
     if args.p > moments.DEFAULT_PAIR_ORDER:

@@ -28,8 +28,8 @@ class MarchenkoPastur:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("parameter c must be positive")
+        if not 0 < self.c < math.inf:  # NaN fails too
+            raise ValueError("parameter c must be positive and finite")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -75,8 +75,8 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def mp_density(c: float, x: float) -> float:
     """Density of the absolutely continuous part at x; 0 outside the support.
     The atom at zero (weight max(1-c, 0)) is reported separately."""
-    if c <= 0:
-        raise ValueError("parameter c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("parameter c must be positive and finite")
     lo = (1 - math.sqrt(c)) ** 2
     hi = (1 + math.sqrt(c)) ** 2
     if x <= 0 or x < lo or x > hi:
@@ -88,13 +88,16 @@ def mp_moment(c, p: int):
     """p-th moment of the free Poisson law: sum over non-crossing partitions
     of c^{#blocks}, grouped by the Narayana number N(p, b) = C(p, b) C(p, b-1)
     / p of those with b blocks.  Exact (Fraction) when c is exact; float
-    otherwise."""
+    otherwise, when it must be finite."""
+    exact = isinstance(c, (int, Fraction))
+    if not exact and not math.isfinite(c):
+        raise ValueError("parameter c must be finite")
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
-        return Fraction(1) if isinstance(c, (int, Fraction)) else 1.0
+        return Fraction(1) if exact else 1.0
     counts = [(b, math.comb(p, b) * math.comb(p, b - 1) // p) for b in range(1, p + 1)]
-    if isinstance(c, (int, Fraction)):
+    if exact:
         return sum(Fraction(count) * Fraction(c) ** blocks for blocks, count in counts)
     return float(sum(count * c**blocks for blocks, count in counts))
 
@@ -102,8 +105,8 @@ def mp_moment(c, p: int):
 def mp_entropy_integral(c: float) -> float:
     """Closed form of int x log x d pi_c: 1/2 + c log c for c >= 1 and
     c^2 / 2 for 0 < c < 1 (the branches agree at c = 1)."""
-    if c <= 0:
-        raise ValueError("parameter c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("parameter c must be positive and finite")
     if c >= 1:
         return 0.5 + c * math.log(c)
     return c * c / 2.0

@@ -359,8 +359,16 @@ def _check_order(p: int, pair: bool) -> None:
         raise ValueError(f"p={p} exceeds the {'pair-search ' if pair else ''}cap {cap}")
 
 
-def _minimize_single(problem: str, p: int, d, target: Permutation) -> ExponentReport:
+def _exponent(d) -> Fraction:
+    """d as a Fraction; ValueError for d < 0, outside the regime k ~ c n^d."""
     d = Fraction(d)
+    if d < 0:
+        raise ValueError(f"d={d} must be >= 0")
+    return d
+
+
+def _minimize_single(problem: str, p: int, d, target: Permutation) -> ExponentReport:
+    d = _exponent(d)
     minimum, points = _best(_single_census(p, target), d, -p)
     return ExponentReport(problem=problem, p=p, d=d, minimum=minimum, minimizers=tuple(_perms_at(p, points)))
 
@@ -408,7 +416,7 @@ def minimize_S(p: int, d) -> ExponentReport:
     then 20-80 us a call.
     """
     _check_order(p, pair=True)
-    d = Fraction(d)
+    d = _exponent(d)
     minimum, points = _best(_pair_census(p), d, -p)
     alphas, betas = np.divmod(points, len(group_table(2 * p).perms))
     minimizers = tuple(zip(_perms_at(p, alphas), _perms_at(p, betas)))
@@ -484,7 +492,7 @@ def _geodesic_set(p: int, which: str) -> frozenset[Permutation]:
 
 def reference_S2(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
     """Closed-form solution table for the S2 problem."""
-    d = Fraction(d)
+    d = _exponent(d)
     _, delta, _ = make_gamma_delta(p)
     if d == 0:
         return Fraction(-1), _geodesic_set(p, "delta->gtilde")
@@ -498,7 +506,7 @@ def reference_S2(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
 def reference_S1(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
     """Closed-form solution table for the S1 problem, including the p = 2
     special rows and the interface case p = 2/(2-d)."""
-    d = Fraction(d)
+    d = _exponent(d)
     gamma, delta, _ = make_gamma_delta(p)
     ident = identity(2 * p)
     if d == 0:

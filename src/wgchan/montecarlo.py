@@ -21,7 +21,10 @@ One set of builders serves a single output and a batch of them: the factor,
 Gram, pinching and trace-power helpers act on the last two axes and carry
 any leading trial axis along.  `product_output` calls them on one draw;
 `moment_ensemble` calls them on a stack of draws taken in the same order
-from one stream, so its conjugate flavor also runs in the real basis.
+from one stream, so its conjugate flavor also runs in the real basis.  The
+one exception is a single complex Gram wider than 512 (`_streamed`):
+`_streamed_gram` folds it from blocks of W by BLAS zherk, so W is never
+held whole, and `_trace_powers` squares it in strips.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -94,7 +96,7 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator, count: int | N
 
 #: Side of the square blocks in which `_mirror_lower` copies a triangle.
 _MIRROR_BLOCK = 256
-#: Rows (columns with `outer`) of a complex factor that `product_output`
+#: Rows (columns on the output side) of a complex factor that `_streamed_gram`
 #: builds and folds into its Gram per zherk call, in whole a's (k1's).
 _GRAM_BLOCK = 1024
 #: Rows of G per strip of G^2 in `_strip_traces`.
@@ -104,7 +106,7 @@ _TRACE_STRIP = 256
 def _streamed(shape: tuple[int, ...], dtype, outer: bool = False) -> bool:
     """Whether the Hermitian product of a factor of this shape and dtype is
     streamed: a single complex product more than 512 wide, whose Gram
-    `product_output` folds by `_herk_blocks` and whose square
+    `product_output` takes from `_streamed_gram` and whose square
     `_trace_powers` takes in strips."""
     return np.dtype(dtype).kind == "c" and len(shape) == 2 and shape[0 if outer else 1] > 512
 
@@ -116,36 +118,6 @@ def _herk(w: np.ndarray, outer: bool = False) -> np.ndarray:
     transpose and hands it to syrk."""
     wh = w.conj().swapaxes(-1, -2)
     return w @ wh if outer else wh @ w
-
-
-def _herk_blocks(blocks: Iterable[np.ndarray], outer: bool = False) -> np.ndarray:
-    """The product of `_herk` for a single complex factor given as its row
-    blocks (column blocks with `outer`), which need not exist at once, by
-    BLAS zherk at half the cost of a matmul.  Each block is folded into one
-    Fortran-ordered product by a zherk call with beta = 1 that overwrites
-    it; zherk reads the transposed view of a C-contiguous block as Fortran
-    without a copy, and returns the upper triangle of the conjugate product,
-    which read through ``.T`` is the lower triangle in C order, so
-    `_mirror_lower` fills the upper one once at the end.  The bits are those
-    of the whole factor in one block whenever the block edges fall on BLAS's
-    own panel edges along the summed axis (every 128 rows for OpenBLAS's
-    Haswell kernels).
-
-    scipy is imported only here and for the blocks of `_complex_factor`, so
-    no other path pays for the import."""
-    from scipy.linalg.blas import zherk
-
-    trans = 2 if outer else 0
-    c = None
-    for block in blocks:
-        a = np.ascontiguousarray(block).T
-        if c is None:
-            c = zherk(1.0, a, trans=trans, lower=0)
-        else:
-            c = zherk(1.0, a, beta=1.0, c=c, trans=trans, lower=0, overwrite_c=1)
-    g = c.T
-    _mirror_lower(g)
-    return g
 
 
 def _mirror_lower(g: np.ndarray) -> None:
@@ -325,7 +297,6 @@ class FactoredDensityMatrix:
         self.k = k
         self.gram = gram
         self.bell_overlap = bell_overlap
-        self._eigs: np.ndarray | None = None
 
     @property
     def side(self) -> str:
@@ -336,9 +307,7 @@ class FactoredDensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Nonzero-support spectrum, descending."""
-        if self._eigs is None:
-            self._eigs = np.linalg.eigvalsh(self.gram)[::-1]
-        return self._eigs
+        return np.linalg.eigvalsh(self.gram)[::-1]
 
     def trace_powers(self, p_max: int) -> list[float]:
         """[tr Z, tr Z^2, ..., tr Z^{p_max}] for p_max in 1..4, without an
@@ -352,11 +321,11 @@ class FactoredDensityMatrix:
 
     def largest_eigenvalue_info(self) -> tuple[float, int, bool]:
         """(lambda_1, Lanczos steps, converged).  Read off the full
-        spectrum (0 steps, converged) when it is known or the Gram matrix is
-        at most 512 wide; otherwise Lanczos from the Bell overlap, which
-        counts as converged once its top Ritz value moves by at most 1e-12
-        relative between steps, within 120 steps."""
-        if self._eigs is not None or self.gram.shape[0] <= 512:
+        spectrum (0 steps, converged) when the Gram matrix is at most 512
+        wide; otherwise Lanczos from the Bell overlap, which counts as
+        converged once its top Ritz value moves by at most 1e-12 relative
+        between steps, within 120 steps."""
+        if self.gram.shape[0] <= 512:
             return float(self.eigenvalues()[0]), 0, True
         v0 = self.bell_overlap
         if v0 is None or float(np.linalg.norm(v0)) < 1e-12:
@@ -415,7 +384,7 @@ def _lanczos_lambda1(
     return top, steps, False
 
 
-def entropy_of(eigenvalues: Iterable[float]) -> float:
+def entropy_of(eigenvalues: np.ndarray | list[float]) -> float:
     """Von Neumann entropy -sum x log x (natural log) with 0 log 0 := 0.
     Never below +0.0: an eigenvalue that rounding puts just above 1 would
     give a negative sum, or -0.0 for an exact 1.  A NaN or infinite
@@ -480,56 +449,17 @@ def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator, count: in
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _complex_factor(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray) -> np.ndarray:
     """W[(a, b), (k1, k2)] = sum_i V_a[(a, k1), i] V_b[(b, k2), i] / sqrt m,
-    for each leading index of the isometry stacks, over the a and k1 that
-    `v_a` holds.  `v_a` is V_a viewed with shape lead + (a's, k1's, m): all
-    of it gives W, a slice of the a axis a row block of W and a slice of the
-    k1 axis a column block.  With `out`, a flat buffer of at least the
-    block's size, the block of a single output is written into its head and
-    its mix is formed by scipy's zgemm, the BLAS that folds it into the Gram: switching
-    between numpy's and scipy's BLAS thread pools once per a cost a 64-wide
-    trial about a tenth of its time on 2 vCPUs."""
+    for each leading index of the isometry stacks `v_a` and `v_b`, each of
+    shape lead + (nk, m)."""
     n, k, m = spec.n, spec.k, spec.m
-    lead = v_a.shape[:-3]
-    rows_a, cols_a = v_a.shape[-3:-1]
-    rows = v_a.reshape(lead + (rows_a * cols_a, m))
-    shape = lead + (rows_a * n, cols_a * k)
-    if out is None:
-        mix = rows @ v_b.swapaxes(-1, -2)
-        w = np.empty(shape, dtype=complex)
-    else:
-        from scipy.linalg.blas import zgemm
-
-        mix = zgemm(1.0, v_b.T, rows.T, trans_a=1).T
-        w = out[: math.prod(shape)].reshape(shape)
-    w.reshape(lead + (rows_a, n, cols_a, k))[...] = mix.reshape(lead + (rows_a, cols_a, n, k)).swapaxes(-3, -2)
+    lead = v_a.shape[:-2]
+    mix = v_a @ v_b.swapaxes(-1, -2)
+    w = np.empty(lead + (n * n, k * k), dtype=complex)
+    w.reshape(lead + (n, n, k, k))[...] = mix.reshape(lead + (n, k, n, k)).swapaxes(-3, -2)
     w /= math.sqrt(m)
     return w
-
-
-def _complex_factor_blocks(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray):
-    """Yield the complex factor W of one output in blocks for `_herk_blocks`
-    to fold into its Gram: rows of `_GRAM_BLOCK` // n a's on the ancilla side
-    (k <= n), columns of `_GRAM_BLOCK` // k k1's on the output side.  Each
-    block is written over the last in one buffer, the rows (a, .) of one a
-    at a time, so neither W nor more than a k x nk slice of its mix is ever
-    held."""
-    n, k, m = spec.n, spec.k, spec.m
-    v_a = v_a.reshape(n, k, m)
-    if k <= n:
-        step = max(1, _GRAM_BLOCK // n)
-        parts = [v_a[a0 : a0 + step] for a0 in range(0, n, step)]
-    else:
-        step = max(1, _GRAM_BLOCK // k)
-        parts = [v_a[:, k0 : k0 + step] for k0 in range(0, k, step)]
-    buf = np.empty(parts[0].shape[0] * n * parts[0].shape[1] * k, dtype=complex)
-    for part in parts:
-        rows_a, cols_a, _ = part.shape
-        size = n * cols_a * k  # entries of the block in the rows of one a
-        for a in range(rows_a):
-            _complex_factor(spec, part[a : a + 1], v_b, buf[a * size :])
-        yield buf[: rows_a * size].reshape(rows_a * n, cols_a * k)
 
 
 @lru_cache(maxsize=16)
@@ -604,35 +534,65 @@ def _real_factor(spec: ChannelSpec, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _gram_of_factor(n: int, k: int, w) -> tuple[np.ndarray, np.ndarray | None]:
-    """(gram, Bell overlap) of the factor W, for each leading index: W* W
-    and W* e on the ancilla side (k <= n), W W* and no overlap on the output
-    side.  `w` is W, whose Gram `_herk` forms, or the blocks of one complex W
-    from `_complex_factor_blocks`, which `_herk_blocks` folds into the Gram
-    one at a time; the rows (a, a) behind the overlap are copied out of each
-    block as it passes, and summed once at the end either way."""
-    whole = isinstance(w, np.ndarray)
+def _gram_of_factor(n: int, k: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(gram, Bell overlap) of the factor W by `_herk`, for each leading
+    index: W* W and W* e on the ancilla side (k <= n), W W* and no overlap on
+    the output side.  W* e is the conjugate of the sum over a of the rows
+    (a, a) of W, divided by sqrt n."""
     if k > n:  # Z itself: the output side is the smaller one
-        return (_herk(w, outer=True) if whole else _herk_blocks(w, outer=True)), None
+        return _herk(w, outer=True), None
+    gram = _herk(w)  # first: holding the rows (a, a) through it raises the peak
+    a = np.arange(n)
+    rows_aa = w.reshape(w.shape[:-2] + (n, n, k * k))[..., a, a, :]
+    return gram, rows_aa.sum(axis=-2).conj() / math.sqrt(n)
 
-    def rows_aa(block, a0):  # rows (a, a) of the row block of W from row (a0, 0) on
-        by_a = block.reshape(block.shape[:-2] + (-1, n, k * k))
-        a = np.arange(by_a.shape[-3])
-        return by_a[..., a, a0 + a, :]
 
-    if whole:
-        gram, diag = _herk(w), rows_aa(w, 0)
-    else:
-        parts = []
+def _streamed_gram(spec: ChannelSpec, v_a: np.ndarray, v_b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """`_gram_of_factor` of the complex factor W of one output whose Gram is
+    `_streamed`, folded from blocks of W so that neither W nor its mix is
+    ever held whole: rows of `_GRAM_BLOCK` // n a's on the ancilla side
+    (k <= n), columns of `_GRAM_BLOCK` // k k1's on the output side.
 
-        def tap():
-            for block in w:
-                parts.append(rows_aa(block, sum(len(p) for p in parts)))
-                yield block
+    Each block is written over the last in one buffer, the rows (a, .) of
+    one a at a time, their mix by scipy's zgemm (switching between numpy's
+    and scipy's BLAS thread pools once per a cost a 64-wide trial about a
+    tenth of its time on 2 vCPUs); the rows (a, a) behind the overlap are
+    copied out as they are written.  zherk with beta = 1 then folds the
+    block into one Fortran-ordered Gram that starts at zero: it reads the
+    transposed view of the C-contiguous block as Fortran without a copy and
+    fills the upper triangle of the conjugate product, which read through
+    ``.T`` is the lower triangle in C order, so `_mirror_lower` fills the
+    upper one once at the end.  The bits are those of the whole factor in one block
+    whenever the block edges fall on BLAS's own panel edges along the summed
+    axis (every 128 rows for OpenBLAS's Haswell kernels).
 
-        gram = _herk_blocks(tap())
-        diag = np.concatenate(parts)
-    return gram, diag.sum(axis=-2).conj() / math.sqrt(n)
+    scipy is imported only here, so no other path pays for the import."""
+    from scipy.linalg.blas import zgemm, zherk
+
+    n, k, m = spec.n, spec.k, spec.m
+    outer = k > n
+    v_a = v_a.reshape(n, k, m)
+    step = max(1, _GRAM_BLOCK // (k if outer else n))
+    a_step, k_step = (n, min(step, k)) if outer else (min(step, n), k)
+    buf = np.empty(a_step * n * k_step * k, dtype=complex)
+    rows_aa = np.empty((n, k * k), dtype=complex)
+    dim = n * n if outer else k * k
+    c = np.zeros((dim, dim), dtype=complex, order="F")
+    for a0 in range(0, n, a_step):
+        for k0 in range(0, k, k_step):
+            part = v_a[a0 : a0 + a_step, k0 : k0 + k_step]
+            rows_a, cols_a, _ = part.shape
+            w = buf[: rows_a * n * cols_a * k].reshape(rows_a, n, cols_a, k)
+            for a in range(rows_a):
+                w[a] = zgemm(1.0, v_b.T, part[a].T, trans_a=1).T.reshape(cols_a, n, k).swapaxes(0, 1)
+                w[a] /= math.sqrt(m)
+                if not outer:
+                    rows_aa[a0 + a] = w[a, a0 + a].reshape(-1)
+            block = w.reshape(rows_a * n, cols_a * k)
+            c = zherk(1.0, block.T, beta=1.0, c=c, trans=2 if outer else 0, lower=0, overwrite_c=1)
+    gram = c.T
+    _mirror_lower(gram)
+    return gram, None if outer else rows_aa.sum(axis=0).conj() / math.sqrt(n)
 
 
 def _check_factor_size(spec: ChannelSpec) -> None:
@@ -656,9 +616,9 @@ def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
     Deterministic given the seed.
 
     The real route and a complex Gram at most 512 wide build W whole and
-    hold it with its Gram.  A `_streamed` complex Gram is folded from
-    `_complex_factor_blocks` instead, so the trial holds the Gram and one
-    block of W and its mix at a time.
+    hold it with its Gram.  A `_streamed` complex Gram comes from
+    `_streamed_gram` instead, so the trial holds the Gram and one block of W
+    at a time.
     """
     _check_factor_size(spec)
     rng = _as_rng(seed)
@@ -669,30 +629,20 @@ def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
     else:
         v_b = _stinespring_isometry(spec, rng)
         if _streamed((n * n, k * k), complex, outer=k > n):
-            w = _complex_factor_blocks(spec, v_a, v_b)
-        else:
-            w = _complex_factor(spec, v_a.reshape(n, k, spec.m), v_b)
-    gram, overlap = _gram_of_factor(n, k, w)
-    return FactoredDensityMatrix(n, k, gram, overlap)
+            return FactoredDensityMatrix(n, k, *_streamed_gram(spec, v_a, v_b))
+        w = _complex_factor(spec, v_a, v_b)
+    return FactoredDensityMatrix(n, k, *_gram_of_factor(n, k, w))
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Spectrum summary: the largest eigenvalue, the rescaled bulk, entropy
-    (natural log), and the first four empirical moments of the rescaled bulk.
+    """Spectrum summary: the largest eigenvalue, entropy (natural log), and
+    the first four empirical moments of the bulk rescaled by `scale`, as
+    `spectral_report` computes them."""
 
-    The bulk excludes `drop_largest` top eigenvalues and runs over the
-    nonzero support of the representation.
-    """
-
-    eigenvalues: np.ndarray
     largest: float
-    bulk: np.ndarray
-    rescaled_bulk: np.ndarray
     entropy: float
     moments: tuple[float, float, float, float]
-    scale: float
-    drop_largest: int
 
     @property
     def bulk_mean(self) -> float:
@@ -721,19 +671,9 @@ def spectral_report(z, scale: float = 1.0, drop_largest: int = 0) -> SpectralRep
     total = float(eigs.sum())
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
-    bulk = eigs[drop_largest:]
-    rescaled = scale * bulk
+    rescaled = scale * eigs[drop_largest:]
     moments = tuple(float(np.mean(rescaled**p)) for p in range(1, 5))
-    return SpectralReport(
-        eigenvalues=eigs,
-        largest=float(eigs[0]),
-        bulk=bulk,
-        rescaled_bulk=rescaled,
-        entropy=entropy_of(eigs),
-        moments=moments,
-        scale=scale,
-        drop_largest=drop_largest,
-    )
+    return SpectralReport(largest=float(eigs[0]), entropy=entropy_of(eigs), moments=moments)
 
 
 def stderr_of(values: np.ndarray) -> float:
@@ -917,7 +857,7 @@ def moment_ensemble(
         if real_basis:
             w = _real_factor(spec, v[:, 0])
         else:
-            w = _complex_factor(spec, v[:, 0].reshape(size, n, k, m), v[:, 1])
+            w = _complex_factor(spec, v[:, 0], v[:, 1])
         gram, overlap = _gram_of_factor(n, k, w)
         traces[start : start + size] = _trace_powers(gram, p_max)
         if pinched:

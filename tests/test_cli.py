@@ -138,6 +138,7 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["entropy", "--d=-1", "--c", "1", "--n-list", "4", "--trials", "2", "--seed", "1"],
         ["compare", "--n", "3", "--k", "0", "--trials", "2", "--seed", "1"],
         ["compare", "--n", "3", "--k", "3", "--m", "2", "--trials", "2", "--seed", "1"],
+        ["minimize", "--p", "2", "--d=-1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):

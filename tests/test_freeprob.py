@@ -108,6 +108,25 @@ def test_mp_density_point_values():
     assert mp_density(0.25, 0.2) == 0.0  # below the lower edge (1 - 0.5)^2
 
 
+def test_mp_parameter_outside_its_domain_is_refused():
+    # NaN compares False with everything, so a check written as c <= 0 would
+    # let it through
+    for c in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MarchenkoPastur(c)
+        with pytest.raises(ValueError, match="positive and finite"):
+            mp_density(c, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            mp_entropy_integral(c)
+    for c in (math.nan, math.inf, -math.inf):
+        for p in (0, 3):
+            with pytest.raises(ValueError, match="finite"):
+                mp_moment(c, p)
+    # exact c is unchanged, however large
+    assert mp_moment(10**400, 1) == 10**400
+    assert mp_moment(Fraction(-1, 2), 2) == Fraction(-1, 4)
+
+
 def test_mp_mass_and_mean():
     for c in (0.25, 1.0, 4.0):
         law = MarchenkoPastur(c)

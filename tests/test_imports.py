@@ -4,6 +4,7 @@ runs.  Every import check runs in a fresh interpreter, since the test process
 has long since imported everything.  Also: no exported callable takes a cap
 or tolerance argument."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -158,3 +159,19 @@ def test_no_cap_or_tolerance_parameters():
         if param in knobs
     }
     assert found == {("wg_exact", "max_order")}
+
+
+def _scipy_imports(node: ast.AST) -> int:
+    return sum(
+        isinstance(sub, ast.Import) and any(alias.name.split(".")[0] == "scipy" for alias in sub.names)
+        or isinstance(sub, ast.ImportFrom) and (sub.module or "").split(".")[0] == "scipy"
+        for sub in ast.walk(node)
+    )
+
+
+def test_montecarlo_imports_scipy_only_in_streamed_gram():
+    # the streamed complex Gram is the one route that needs scipy's BLAS, so
+    # no other path pays for the import
+    tree = ast.parse(Path(wgchan.__file__).with_name("montecarlo.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _scipy_imports(tree) == _scipy_imports(functions["_streamed_gram"]) == 1

@@ -335,6 +335,17 @@ def test_pinched_minimization_domain():
         minimize_S_pinched(4, Fraction(1, 2))
 
 
+def test_minimize_refuses_negative_d():
+    # the regime k ~ c n^d needs d >= 0; the closed-form tables answer only there
+    for func in (minimize_S, minimize_S1, minimize_S2, reference_S1, reference_S2):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            func(2, -1)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            func(2, Fraction(-1, 3))
+    with pytest.raises(ValueError):
+        minimize_S_pinched(2, Fraction(-1, 2))
+
+
 def test_minimize_caps():
     with pytest.raises(ValueError):
         minimize_S(4, 1)
@@ -412,8 +423,13 @@ _PINCHED_D = st.fractions(min_value=0, max_value=2, max_denominator=12).filter(l
 @given(data=st.data())
 def test_minimizations_match_bruteforce_objectives(problem, p, data):
     # the whole report, minimizer order included, against the documented
-    # objective evaluated point by point in Fractions
+    # objective evaluated point by point in Fractions; a negative d lies
+    # outside the regime k ~ c n^d and is refused
     d = data.draw(_PINCHED_D if problem == "S_pinched" else _ANY_D)
+    if d < 0:
+        with pytest.raises(ValueError, match="must be >= 0"):
+            _MINIMIZE[problem](p, d)
+        return
     values = [(point, _brute_objective(problem, p, d, x)) for point, x in _brute_points(problem, p)]
     minimum = min(v for _, v in values)
     want = ExponentReport(problem, p, d, minimum, tuple(point for point, v in values if v == minimum))

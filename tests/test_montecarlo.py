@@ -204,10 +204,9 @@ def product_factor(spec, v_a, v_b):
     """The rank factor W of Z = W W* in the product basis, built from the
     isometries as `product_output` builds it: U_n W' from the real factor W'
     for the conjugate flavor, the complex factor for the independent one."""
-    n, k, m = spec.n, spec.k, spec.m
     if spec.flavor == "conjugate":
-        return real_basis_unitary(n) @ montecarlo._real_factor(spec, v_a)
-    return montecarlo._complex_factor(spec, v_a.reshape(n, k, m), v_b)
+        return real_basis_unitary(spec.n) @ montecarlo._real_factor(spec, v_a)
+    return montecarlo._complex_factor(spec, v_a, v_b)
 
 
 @pytest.mark.parametrize("flavor", ["conjugate", "independent"])
@@ -316,7 +315,7 @@ def test_real_factor_blocks_and_batches_are_bitwise_identical(monkeypatch, n, k,
         monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", rows * n * k * k)
         assert np.array_equal(montecarlo._real_factor(spec, v), whole)
         assert np.array_equal(montecarlo._real_factor(spec, v[1]), whole[1])
-    w = montecarlo._complex_factor(spec, v.reshape(3, n, k, m), v.conj())
+    w = montecarlo._complex_factor(spec, v, v.conj())
     rotated = real_basis_unitary(n).conj().T @ w @ real_basis_unitary(k)
     assert np.abs(rotated.imag).max() < 1e-13
     assert np.abs(rotated.real - whole).max() < 1e-13
@@ -383,38 +382,41 @@ def test_trace_powers_reject_orders_outside_1_to_4():
 
 @pytest.mark.parametrize("n, k", [(24, 24), (24, 32)])
 def test_herk_above_cutoff_is_exactly_hermitian(n, k):
-    # both products are wider than 512, so both are streamed: zherk and the
-    # mirrored triangle, here with the whole factor as the one block
+    # both Grams are wider than 512, so both are streamed: zherk and the
+    # mirrored triangle, W* W on the ancilla side and W W* on the output side
     spec = independent_spec(n, k)
     rng = np.random.default_rng(8)
     v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
+    g, _ = montecarlo._streamed_gram(spec, v_a, v_b)
     w = product_factor(spec, v_a, v_b)
-    for outer, expected in ((False, w.conj().T @ w), (True, w @ w.conj().T)):
-        g = montecarlo._herk_blocks([w], outer=outer)
-        assert g.shape[0] > 512
-        assert np.array_equal(g, g.conj().T)
-        assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
+    expected = w @ w.conj().T if k > n else w.conj().T @ w
+    assert g.shape[0] > 512
+    assert np.array_equal(g, g.conj().T)
+    assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("n, k, m", [(32, 32, 32), (24, 32, 24)])
 def test_streamed_gram_matches_whole_factor(monkeypatch, n, k, m):
-    # 384-row blocks are 12 a's of 32 rows on the ancilla side and 12 k1's of
-    # 32 columns on the output side: three blocks, the last of 8.  Their
-    # edges fall on the 128-row panels along which OpenBLAS's zherk sums, so
-    # the folded Gram has the bits of the whole factor's.  (At n = 24 no
-    # block of whole a's both does so and leaves three blocks.)  The strips
-    # of G^2 are ragged too.
+    # The blocks split the a's on the ancilla side and the k1's on the
+    # output side, both 32 here, each a (k1) giving 32 rows (columns) of W:
+    # 384-row blocks are three, of 12, 12 and 8.  Their edges fall on the
+    # 128-row panels along which OpenBLAS's zherk sums, so the folded Gram
+    # has the bits of the whole factor in one block.  (At n = 24 no block of
+    # whole a's both does so and leaves three blocks.)  The strips of G^2
+    # are ragged too.
+    spec = independent_spec(n, k, m)
+    rng = np.random.default_rng(7)
+    v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
+    monkeypatch.setattr(montecarlo, "_GRAM_BLOCK", n * n * k * k)
+    whole = montecarlo.FactoredDensityMatrix(n, k, *montecarlo._streamed_gram(spec, v_a, v_b))
+    if k <= n:
+        _, overlap = montecarlo._gram_of_factor(n, k, product_factor(spec, v_a, v_b))
+        assert np.array_equal(whole.bell_overlap, overlap)
     monkeypatch.setattr(montecarlo, "_GRAM_BLOCK", 384)
     monkeypatch.setattr(montecarlo, "_TRACE_STRIP", 200)
-    spec = independent_spec(n, k, m)
-    rng = np.random.default_rng(3)
-    v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
-    shapes = [b.shape for b in montecarlo._complex_factor_blocks(spec, v_a, v_b)]
-    assert len(shapes) == 3 and shapes[-1] != shapes[0]
-    rng = np.random.default_rng(7)
-    w = product_factor(spec, *(montecarlo._stinespring_isometry(spec, rng) for _ in range(2)))
-    _, overlap = montecarlo._gram_of_factor(n, k, w)
-    whole = montecarlo.FactoredDensityMatrix(n, k, montecarlo._herk_blocks([w], outer=k > n), overlap)
+    side = k if k > n else n
+    step = montecarlo._GRAM_BLOCK // side
+    assert math.ceil(side / step) == 3 and side % step == 8
     streamed = product_output(spec, 7)
     assert np.array_equal(streamed.gram, whole.gram)
     if k <= n:
@@ -508,7 +510,7 @@ def test_spectral_report_two_level_entropy():
     expected = -(0.625 * math.log(0.625) + 3 * 0.125 * math.log(0.125))
     assert rep.entropy == pytest.approx(expected, rel=1e-12)
     assert rep.largest == pytest.approx(0.625)
-    assert np.allclose(rep.rescaled_bulk, 0.5)
+    assert rep.moments == pytest.approx((0.5, 0.25, 0.125, 0.0625))
 
 
 def test_spectral_report_maximally_mixed():
