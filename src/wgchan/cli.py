@@ -183,10 +183,7 @@ def cmd_exact_moments(args) -> int:
         "p_max": args.p_max,
         "pinched": args.pinched,
     }
-    try:
-        moments.validate_exact_args(args.p_max, args.n, args.k, m)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    moments.validate_exact_args(args.p_max, args.n, args.k, m)
     with _writer(args, ["p", "exact", "exact_float"], config) as row:
         for p in range(1, args.p_max + 1):
             if args.pinched:
@@ -291,11 +288,11 @@ def cmd_simulate(args) -> int:
     stream = montecarlo.iter_trial_statistics(spec, args.trials, args.seed)  # checks before any output
     with _writer(args, columns, config) as row:
         trials = []
-        for trial, stats in stream:
+        for trial, stats in enumerate(stream):
             stats["bulk_mean"] = stats["bulk_m1"]
             trials.append(stats)
             row({"row": "trial", "trial": trial, **stats})
-        report = montecarlo.EnsembleReport.from_trials(spec, args.seed, trials)
+        report = montecarlo.EnsembleReport.from_trials(spec, trials)
         for kind, aggregate in (("mean", report.mean), ("stderr", report.stderr)):
             row({"row": kind, **{name: aggregate(name) for name in report.per_trial}})
     return 0
@@ -435,12 +432,12 @@ def cmd_entropy(args) -> int:
     ]
     regime = RegimeParams(c=c, d=d, t=t)
     specs = [_spec_for_regime(n, c, d, t, "conjugate") for n in n_list]
-    for spec in specs:
-        montecarlo.ensemble_settings(spec, args.trials, full_spectrum=True)
+    # each stream checks its arguments as it is made, before any output
+    streams = [montecarlo.iter_trial_statistics(spec, args.trials, args.seed, full_spectrum=True) for spec in specs]
     predictions = [freeprob.entropy_prediction(regime, spec.n, spec.k) for spec in specs]
     with _writer(args, columns, config) as row:
-        for spec, prediction in zip(specs, predictions):
-            report = montecarlo.run_ensemble(spec, args.trials, args.seed, full_spectrum=True)
+        for spec, stream, prediction in zip(specs, streams, predictions):
+            report = montecarlo.EnsembleReport.from_trials(spec, list(stream))
             h_mean = report.mean("entropy")
             h_se = report.stderr("entropy")
             cap = 2 * math.log(min(spec.k, spec.n))
@@ -541,10 +538,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -156,13 +156,9 @@ class EntropyPrediction:
     entropy defect below 2 log(k and n) when the theory resolves it;
     `defect_known` is False where only the leading term is available."""
 
-    regime_label: str
     leading: float
     defect: float
     defect_known: bool
-
-    def value(self) -> float:
-        return self.leading
 
 
 def entropy_prediction(regime: RegimeParams, n: int, k: int) -> EntropyPrediction:
@@ -178,13 +174,13 @@ def entropy_prediction(regime: RegimeParams, n: int, k: int) -> EntropyPredictio
         k_fixed = int(regime.c)
         t = regime.t if regime.t is not None else Fraction(1, k_fixed)
         h = vn_entropy([float(x) for x in gamma_t_vector(t, k_fixed)])
-        return EntropyPrediction("d=0 two-level", h, 2 * math.log(k_fixed) - h, True)
+        return EntropyPrediction(h, 2 * math.log(k_fixed) - h, True)
     if d < 1:
-        return EntropyPrediction("d in (0,1)", 2 * math.log(k), 0.0, False)
+        return EntropyPrediction(2 * math.log(k), 0.0, False)
     if d == 1:
         if c < 1:
-            return EntropyPrediction("d=1, c<1", 2 * math.log(k) - c * c / 2, c * c / 2, True)
-        return EntropyPrediction("d=1, c>=1", 2 * math.log(n) - 1 / (2 * c * c), 1 / (2 * c * c), True)
+            return EntropyPrediction(2 * math.log(k) - c * c / 2, c * c / 2, True)
+        return EntropyPrediction(2 * math.log(n) - 1 / (2 * c * c), 1 / (2 * c * c), True)
     if d < 2:
-        return EntropyPrediction("d in (1,2)", 2 * math.log(n), 0.0, False)
-    return EntropyPrediction("d >= 2", 2 * math.log(n), 0.0, False)
+        return EntropyPrediction(2 * math.log(n), 0.0, False)
+    return EntropyPrediction(2 * math.log(n), 0.0, False)

@@ -360,8 +360,12 @@ def _check_order(p: int, pair: bool) -> None:
 
 
 def _exponent(d) -> Fraction:
-    """d as a Fraction; ValueError for d < 0, outside the regime k ~ c n^d."""
-    d = Fraction(d)
+    """d as a Fraction; ValueError for a d that is not finite, or d < 0,
+    outside the regime k ~ c n^d."""
+    try:
+        d = Fraction(d)
+    except OverflowError as exc:  # Fraction(+-inf); Fraction(nan) is a ValueError already
+        raise ValueError(f"d={d} must be finite") from exc
     if d < 0:
         raise ValueError(f"d={d} must be >= 0")
     return d
@@ -457,7 +461,7 @@ def minimize_S_pinched(p: int, d) -> ExponentReport:
     about 90 us a call.
     """
     _check_order(p, pair=True)
-    d = Fraction(d)
+    d = _exponent(d)
     if not (0 < d < 1 or 1 < d < 2):
         raise ValueError("the pinched exponent is defined for d in (0,1) or (1,2)")
     census, rows, choices = _pinched_pair_census(p)

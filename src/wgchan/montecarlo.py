@@ -30,7 +30,7 @@ held whole, and `_trace_powers` squares it in strips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -320,13 +320,9 @@ class FactoredDensityMatrix:
         return self.largest_eigenvalue_info()[0]
 
     def largest_eigenvalue_info(self) -> tuple[float, int, bool]:
-        """(lambda_1, Lanczos steps, converged).  Read off the full
-        spectrum (0 steps, converged) when the Gram matrix is at most 512
-        wide; otherwise Lanczos from the Bell overlap, which counts as
-        converged once its top Ritz value moves by at most 1e-12 relative
-        between steps, within 120 steps."""
-        if self.gram.shape[0] <= 512:
-            return float(self.eigenvalues()[0]), 0, True
+        """(lambda_1, Lanczos steps, converged) by `_lanczos_lambda1` from
+        the Bell overlap, or from the row sums of the Gram where there is no
+        overlap or it vanishes."""
         v0 = self.bell_overlap
         if v0 is None or float(np.linalg.norm(v0)) < 1e-12:
             v0 = self.gram.sum(axis=1)
@@ -342,26 +338,30 @@ class FactoredDensityMatrix:
         return FactoredDensityMatrix(self.n, self.k, gram, overlap)
 
 
-def _lanczos_lambda1(
-    g: np.ndarray, v0: np.ndarray, max_iter: int = 120, rtol: float = 1e-12
-) -> tuple[float, int, bool]:
+#: Most Lanczos steps `_lanczos_lambda1` takes, and the relative move of its
+#: top Ritz value between steps at which it counts as converged.
+_LANCZOS_STEPS = 120
+_LANCZOS_RTOL = 1e-12
+
+
+def _lanczos_lambda1(g: np.ndarray, v0: np.ndarray) -> tuple[float, int, bool]:
     """Largest eigenvalue of Hermitian g by Lanczos from v0 (in g's field),
-    with the steps taken and whether the top Ritz value met `rtol`.
+    with the steps taken and whether the top Ritz value met `_LANCZOS_RTOL`.
 
     Each step reorthogonalizes against the whole basis by classical
     Gram-Schmidt, applied twice, and takes the top eigenvalue of the
-    tridiagonal matrix by numpy's dense `eigvalsh`: it is at most `max_iter`
-    wide, so this costs little next to one matvec.  The solver stops once
-    that value moves by at most `rtol` relative between steps, or when the
-    Krylov space is invariant.
+    tridiagonal matrix by numpy's dense `eigvalsh`: it is at most
+    `_LANCZOS_STEPS` wide, so this costs little next to one matvec.  The
+    solver stops once that value moves by at most `_LANCZOS_RTOL` relative
+    between steps, or when the Krylov space is invariant.
     The top Ritz value increases toward lambda_1 from inside the spectrum, so
-    a stop at `max_iter` still returns a usable spectral-edge estimate."""
+    a stop at `_LANCZOS_STEPS` still returns a usable spectral-edge estimate."""
     v = np.asarray(v0, dtype=g.dtype)
     norm = float(np.linalg.norm(v))
     if norm == 0:
         raise ValueError("zero starting vector")
     dim = g.shape[0]
-    steps = min(max_iter, dim)
+    steps = min(_LANCZOS_STEPS, dim)
     basis = np.empty((steps, dim), dtype=g.dtype)
     tri = np.zeros((steps, steps))
     v = v / norm
@@ -375,7 +375,7 @@ def _lanczos_lambda1(
             w -= done.T @ (done @ w.conj()).conj()
         new_top = float(np.linalg.eigvalsh(tri[: j + 1, : j + 1])[-1])
         beta = float(np.linalg.norm(w))
-        if abs(new_top - top) <= rtol * max(abs(new_top), 1e-300) or beta == 0 or j + 1 == dim:
+        if abs(new_top - top) <= _LANCZOS_RTOL * max(abs(new_top), 1e-300) or beta == 0 or j + 1 == dim:
             return new_top, j + 1, True
         top = new_top
         if j + 1 < steps:
@@ -436,13 +436,6 @@ def apply_channel(spec: ChannelSpec, unitary: np.ndarray, state) -> DensityMatri
     rotated = unitary @ embedded @ unitary.conj().T
     out = np.einsum("akbk->ab", rotated.reshape(n, k, n, k))
     return DensityMatrix(out, check=False)
-
-
-def _stinespring_isometry(spec: ChannelSpec, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """nk x m isometry V = U (I_m (x) |0_l>); sampled directly as a Haar
-    isometry, which has the same law as those columns of a Haar unitary.
-    With `count`, a stack of that many drawn in turn."""
-    return haar_isometry(spec.n * spec.k, spec.m, rng, count)
 
 
 #: Complex entries of P = V V* per row block of `_real_factor`.
@@ -611,9 +604,11 @@ def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
     """Output Z = [Phi (x) Phi_bar](E_m) (or [Phi (x) Psi] for the
     independent flavor) for one random draw.
 
-    Conjugate flavor consumes one isometry draw and works in the real basis;
-    independent consumes two from the same stream and stays complex.
-    Deterministic given the seed.
+    Each draw is the nk x m Stinespring isometry V = U (I_m (x) |0_l>),
+    sampled directly by `haar_isometry`, which has the same law as those
+    columns of a Haar unitary.  Conjugate flavor consumes one draw and works
+    in the real basis; independent consumes two from the same stream and
+    stays complex.  Deterministic given the seed.
 
     The real route and a complex Gram at most 512 wide build W whole and
     hold it with its Gram.  A `_streamed` complex Gram comes from
@@ -622,12 +617,12 @@ def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
     """
     _check_factor_size(spec)
     rng = _as_rng(seed)
-    v_a = _stinespring_isometry(spec, rng)
     n, k = spec.n, spec.k
+    v_a = haar_isometry(n * k, spec.m, rng)
     if spec.flavor == "conjugate":
         w = _real_factor(spec, v_a)
     else:
-        v_b = _stinespring_isometry(spec, rng)
+        v_b = haar_isometry(n * k, spec.m, rng)
         if _streamed((n * n, k * k), complex, outer=k > n):
             return FactoredDensityMatrix(n, k, *_streamed_gram(spec, v_a, v_b))
         w = _complex_factor(spec, v_a, v_b)
@@ -643,14 +638,6 @@ class SpectralReport:
     largest: float
     entropy: float
     moments: tuple[float, float, float, float]
-
-    @property
-    def bulk_mean(self) -> float:
-        return self.moments[0]
-
-    @property
-    def bulk_std(self) -> float:
-        return float(math.sqrt(max(self.moments[1] - self.moments[0] ** 2, 0.0)))
 
 
 def spectral_report(z, scale: float = 1.0, drop_largest: int = 0) -> SpectralReport:
@@ -686,19 +673,12 @@ def stderr_of(values: np.ndarray) -> float:
 
 @dataclass
 class EnsembleReport:
-    """Per-trial statistics with mean/stderr aggregation.
+    """Per-trial statistics with mean/stderr aggregation, and the bulk
+    settings they were computed with."""
 
-    Deterministic given (spec, trials, seed): trial t draws from
-    ``default_rng([seed, t])``, so the first trials of a longer run are
-    those of a shorter one.
-    """
-
-    spec: ChannelSpec
-    trials: int
-    seed: int
     scale: float
     drop_largest: int
-    per_trial: dict[str, np.ndarray] = field(default_factory=dict)
+    per_trial: dict[str, np.ndarray]
 
     def names(self) -> list[str]:
         return sorted(self.per_trial)
@@ -710,25 +690,24 @@ class EnsembleReport:
         return stderr_of(self.per_trial[name])
 
     @classmethod
-    def from_trials(cls, spec: ChannelSpec, seed: int, stats: list[dict[str, float]]) -> EnsembleReport:
+    def from_trials(cls, spec: ChannelSpec, stats: list[dict[str, float]]) -> EnsembleReport:
         """The report of per-trial statistics dicts, in trial order, as
         `iter_trial_statistics` yields them."""
-        scale, drop_largest, _ = ensemble_settings(spec, len(stats))
+        scale, drop_largest, _ = _ensemble_settings(spec, len(stats))
         per_trial = {name: np.array([s[name] for s in stats]) for name in stats[0]}
-        return cls(spec, len(stats), seed, scale, drop_largest, per_trial)
+        return cls(scale, drop_largest, per_trial)
 
 
-def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
+def _trial_statistics(spec, rng, scale, drop_largest, eigensolve):
     z = product_output(spec, rng)
     support = z.gram.shape[0]
     stats: dict[str, float] = {}
-    if full_spectrum:
+    if eigensolve:
         rep = spectral_report(z, scale=scale, drop_largest=drop_largest)
         stats["lambda1"] = rep.largest
         stats["entropy"] = rep.entropy
         for p in range(1, 5):
             stats[f"bulk_m{p}"] = rep.moments[p - 1]
-        stats["bulk_std"] = rep.bulk_std
     else:
         lam1, iters, converged = z.largest_eigenvalue_info()
         traces = z.trace_powers(4)
@@ -739,60 +718,54 @@ def _trial_statistics(spec, rng, scale, drop_largest, full_spectrum):
         for p in range(1, 5):
             removed = lam1**p if drop_largest else 0.0
             stats[f"bulk_m{p}"] = (traces[p - 1] - removed) * scale**p / denom
-        stats["bulk_std"] = math.sqrt(max(stats["bulk_m2"] - stats["bulk_m1"] ** 2, 0.0))
+    stats["bulk_std"] = math.sqrt(max(stats["bulk_m2"] - stats["bulk_m1"] ** 2, 0.0))
     return stats
 
 
-def ensemble_settings(spec: ChannelSpec, trials: int, full_spectrum: bool | None = None) -> tuple[float, int, bool]:
-    """(scale, drop_largest, full_spectrum) of `run_ensemble` for `spec`;
-    raise ValueError for arguments it rejects, before any trial runs.  The
-    bulk is rescaled by k^2 (the c^2 n^2 of the limit theorems expressed
-    through the actual ancilla dimension) and loses lambda_1 for the
-    conjugate flavor, whose outlier it is, unless lambda_1 is the only one
-    of the min(n, k)^2 eigenvalues.  `full_spectrum` defaults to a full
-    eigensolve for at most `FULL_SPECTRUM_CAP` of them."""
+def _ensemble_settings(spec: ChannelSpec, trials: int, full_spectrum: bool = False) -> tuple[float, int, bool]:
+    """(scale, drop_largest, whether to eigensolve) of `run_ensemble` for
+    `spec`; raise ValueError for arguments it rejects, before any trial
+    runs.  The bulk is rescaled by k^2 (the c^2 n^2 of the limit theorems
+    expressed through the actual ancilla dimension) and loses lambda_1 for
+    the conjugate flavor, whose outlier it is, unless lambda_1 is the only
+    one of the min(n, k)^2 eigenvalues.  A trial eigensolves when
+    `full_spectrum` is set or there are at most `FULL_SPECTRUM_CAP` of them."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_factor_size(spec)
     support = min(spec.n, spec.k) ** 2
     drop_largest = 1 if spec.flavor == "conjugate" and support > 1 else 0
-    if full_spectrum is None:
-        full_spectrum = support <= FULL_SPECTRUM_CAP
-    return float(spec.k * spec.k), drop_largest, full_spectrum
+    return float(spec.k * spec.k), drop_largest, full_spectrum or support <= FULL_SPECTRUM_CAP
 
 
-def iter_trial_statistics(spec: ChannelSpec, trials: int, seed: int, full_spectrum: bool | None = None):
-    """Check the arguments by `ensemble_settings`, then return an iterator
-    of (trial index, statistics dict) that runs the trials one at a time,
-    in order, as it is read."""
-    scale, drop_largest, full_spectrum = ensemble_settings(spec, trials, full_spectrum)
-    return (
-        (t, _trial_statistics(spec, trial_rng(seed, t), scale, drop_largest, full_spectrum)) for t in range(trials)
-    )
+def iter_trial_statistics(spec: ChannelSpec, trials: int, seed: int, full_spectrum: bool = False):
+    """Check the arguments by `_ensemble_settings`, then return an iterator
+    of statistics dicts that runs the trials one at a time, in order, as it
+    is read."""
+    scale, drop_largest, eigensolve = _ensemble_settings(spec, trials, full_spectrum)
+    return (_trial_statistics(spec, trial_rng(seed, t), scale, drop_largest, eigensolve) for t in range(trials))
 
 
-def run_ensemble(spec: ChannelSpec, trials: int, seed: int, full_spectrum: bool | None = None) -> EnsembleReport:
+def run_ensemble(spec: ChannelSpec, trials: int, seed: int, full_spectrum: bool = False) -> EnsembleReport:
     """Independent seeded trials of `product_output`, aggregated, with the
-    bulk settings of `ensemble_settings`.
+    bulk settings of `_ensemble_settings`.
 
-    Entropy is computed only on the full-spectrum path (small spectral
-    carrier, or `full_spectrum=True`).  The trace route instead records, per
-    trial, the Lanczos steps behind lambda_1 (`lambda1_iters`, at most 120)
-    and whether its top Ritz value settled to 1e-12 relative between steps
-    (`lambda1_converged`); they are 0 and True when lambda_1 comes from a
-    full eigensolve.  Trial t draws from ``default_rng([seed, t])``.
+    A trial eigensolves when min(n, k)^2 is at most `FULL_SPECTRUM_CAP` or
+    `full_spectrum` is set, and only then records the entropy.  Otherwise it
+    takes the trace route: the bulk moments from trace powers, and lambda_1
+    by Lanczos, with the steps it took (`lambda1_iters`, at most 120) and
+    whether its top Ritz value settled to 1e-12 relative between steps
+    (`lambda1_converged`).  Trial t draws from ``default_rng([seed, t])``, so
+    the first trials of a longer run are those of a shorter one.
     """
-    stats = [s for _, s in iter_trial_statistics(spec, trials, seed, full_spectrum)]
-    return EnsembleReport.from_trials(spec, seed, stats)
+    return EnsembleReport.from_trials(spec, list(iter_trial_statistics(spec, trials, seed, full_spectrum)))
 
 
 @dataclass
 class MomentEnsemble:
     """Trial-wise traces tr(Z^p) (and optionally tr((QZQ)^p))."""
 
-    spec: ChannelSpec
     p_max: int
-    seed: int
     traces: np.ndarray  # (trials, p_max)
     pinched_traces: np.ndarray | None = None
 
@@ -811,10 +784,9 @@ class MomentEnsemble:
         return (self.pinched_traces if pinched else self.traces)[:, p - 1]
 
 
-#: Trials per batch of `moment_ensemble`, and its cap on the entries of one
-#: batch's factor or isometry stack, which keeps a batch's temporaries in
-#: cache.  Neither changes a value: each trial's rows are computed on their own.
-_MOMENT_BATCH = 2048
+#: Cap of `moment_ensemble` on the entries of one batch's factor or isometry
+#: stack, which keeps a batch's temporaries in cache.  It changes no value:
+#: each trial's rows are computed on their own.
 _MOMENT_BATCH_ENTRIES = 1 << 17
 
 
@@ -845,7 +817,7 @@ def moment_ensemble(
     n, k, m = spec.n, spec.k, spec.m
     real_basis = spec.flavor == "conjugate"
     draws = 1 if real_basis else 2
-    size_cap = max(1, min(_MOMENT_BATCH, _MOMENT_BATCH_ENTRIES // max(n * n * k * k, draws * n * k * m)))
+    size_cap = max(1, _MOMENT_BATCH_ENTRIES // max(n * n * k * k, draws * n * k * m))
     e = bell_vector(n, float if real_basis else complex)
 
     rng = np.random.default_rng(seed)
@@ -853,7 +825,7 @@ def moment_ensemble(
     pinched_arr = np.empty((trials, p_max)) if pinched else None
     for start in range(0, trials, size_cap):
         size = min(size_cap, trials - start)
-        v = _stinespring_isometry(spec, rng, size * draws).reshape(size, draws, n * k, m)
+        v = haar_isometry(n * k, m, rng, size * draws).reshape(size, draws, n * k, m)
         if real_basis:
             w = _real_factor(spec, v[:, 0])
         else:
@@ -862,4 +834,4 @@ def moment_ensemble(
         traces[start : start + size] = _trace_powers(gram, p_max)
         if pinched:
             pinched_arr[start : start + size] = _trace_powers(_pinch(gram, overlap, e), p_max)
-    return MomentEnsemble(spec=spec, p_max=p_max, seed=seed, traces=traces, pinched_traces=pinched_arr)
+    return MomentEnsemble(p_max=p_max, traces=traces, pinched_traces=pinched_arr)

@@ -346,6 +346,16 @@ def test_minimize_refuses_negative_d():
         minimize_S_pinched(2, Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "func", [minimize_S, minimize_S1, minimize_S2, minimize_S_pinched, reference_S1, reference_S2]
+)
+def test_minimize_refuses_non_finite_d(func, d):
+    # Fraction(+-inf) raises OverflowError; a non-finite d is invalid input
+    with pytest.raises(ValueError):
+        func(2, d)
+
+
 def test_minimize_caps():
     with pytest.raises(ValueError):
         minimize_S(4, 1)

@@ -213,8 +213,8 @@ def product_factor(spec, v_a, v_b):
 def test_product_output_matches_dense_oracle(flavor):
     spec = ChannelSpec(n=3, k=2, m=3, flavor=flavor)
     rng = trial_rng(17, 0)
-    v_a = montecarlo._stinespring_isometry(spec, rng)
-    v_b = v_a.conj() if flavor == "conjugate" else montecarlo._stinespring_isometry(spec, rng)
+    v_a = montecarlo.haar_isometry(spec.n * spec.k, spec.m, rng)
+    v_b = v_a.conj() if flavor == "conjugate" else montecarlo.haar_isometry(spec.n * spec.k, spec.m, rng)
     oracle = dense_product_oracle(spec, v_a, v_b)
 
     # the factor's Gram and Bell overlap are those product_output holds (U_n
@@ -236,7 +236,7 @@ def test_product_output_output_side_to_dense_matches_oracle():
     # conjugate flavor with k > n: the output-side Gram is Z in the real basis,
     # and U_n must rotate it back to the product basis entry by entry
     spec = ChannelSpec(n=3, k=5, m=5, flavor="conjugate")
-    v = montecarlo._stinespring_isometry(spec, trial_rng(19, 0))
+    v = montecarlo.haar_isometry(spec.n * spec.k, spec.m, trial_rng(19, 0))
     oracle = dense_product_oracle(spec, v, v.conj())
     z = product_output(spec, trial_rng(19, 0))
     assert z.side == "output"
@@ -265,7 +265,7 @@ def test_real_route_matches_complex_gram(spec, seed):
     # W* W (or W W* when k > n) built from the same isometry draw, and its
     # pinching matches the dense Q Z Q oracle
     n, k, m = spec.n, spec.k, spec.m
-    v = montecarlo._stinespring_isometry(spec, trial_rng(seed, 0))
+    v = montecarlo.haar_isometry(spec.n * spec.k, spec.m, trial_rng(seed, 0))
     w = (v @ v.conj().T).reshape(n, k, n, k).transpose(0, 2, 1, 3).reshape(n * n, k * k) / math.sqrt(m)
     gram = w.conj().T @ w if k <= n else w @ w.conj().T
     z = product_output(spec, trial_rng(seed, 0))
@@ -341,7 +341,7 @@ def test_product_output_output_side_when_k_exceeds_n():
 def test_pinched_matches_dense_compression():
     spec = conjugate_spec(4, 3)
     z = product_output(spec, 23)
-    v = montecarlo._stinespring_isometry(spec, np.random.default_rng(23))
+    v = montecarlo.haar_isometry(spec.n * spec.k, spec.m, np.random.default_rng(23))
     w = product_factor(spec, v, v.conj())
     dense = w @ w.conj().T
     e = bell_vector(4)
@@ -386,7 +386,7 @@ def test_herk_above_cutoff_is_exactly_hermitian(n, k):
     # mirrored triangle, W* W on the ancilla side and W W* on the output side
     spec = independent_spec(n, k)
     rng = np.random.default_rng(8)
-    v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
+    v_a, v_b = (montecarlo.haar_isometry(spec.n * spec.k, spec.m, rng) for _ in range(2))
     g, _ = montecarlo._streamed_gram(spec, v_a, v_b)
     w = product_factor(spec, v_a, v_b)
     expected = w @ w.conj().T if k > n else w.conj().T @ w
@@ -406,7 +406,7 @@ def test_streamed_gram_matches_whole_factor(monkeypatch, n, k, m):
     # are ragged too.
     spec = independent_spec(n, k, m)
     rng = np.random.default_rng(7)
-    v_a, v_b = (montecarlo._stinespring_isometry(spec, rng) for _ in range(2))
+    v_a, v_b = (montecarlo.haar_isometry(spec.n * spec.k, spec.m, rng) for _ in range(2))
     monkeypatch.setattr(montecarlo, "_GRAM_BLOCK", n * n * k * k)
     whole = montecarlo.FactoredDensityMatrix(n, k, *montecarlo._streamed_gram(spec, v_a, v_b))
     if k <= n:
@@ -457,16 +457,28 @@ def test_lanczos_matches_dense_top():
     assert converged and iters < 120
 
 
-def test_lanczos_reports_no_convergence_on_clustered_top():
+def test_lanczos_reports_no_convergence_on_clustered_top(monkeypatch):
     # two top eigenvalues 1e-4 apart: 10 steps cannot separate them, and the
     # solver says so instead of passing the Ritz value off as converged
+    monkeypatch.setattr(montecarlo, "_LANCZOS_STEPS", 10)
     rng = np.random.default_rng(4)
     basis, _ = np.linalg.qr(rng.standard_normal((300, 300)))
     spectrum = np.concatenate([[1.0, 1.0 - 1e-4], rng.uniform(0.0, 0.5, 298)])
     g = (basis * spectrum) @ basis.T
-    top, iters, converged = montecarlo._lanczos_lambda1(g, g.sum(axis=1), max_iter=10)
+    top, iters, converged = montecarlo._lanczos_lambda1(g, g.sum(axis=1))
     assert not converged and iters == 10
     assert 0.5 < top <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("spec", [conjugate_spec(8, 4), independent_spec(6, 6), ChannelSpec(n=3, k=9, m=3)])
+def test_small_gram_takes_lambda1_from_lanczos(spec):
+    # lambda_1 has one solver, also for a Gram of at most 512: Lanczos from
+    # the Bell overlap (or the Gram's row sums on the output side)
+    z = product_output(spec, 12)
+    assert z.gram.shape[0] <= 512
+    top, iters, converged = z.largest_eigenvalue_info()
+    assert iters >= 1 and converged
+    assert top == pytest.approx(float(np.linalg.eigvalsh(z.gram)[-1]), rel=1e-12, abs=0)
 
 
 def test_density_matrix_validation():
@@ -580,11 +592,14 @@ def test_run_ensemble_trials_extend_as_a_prefix():
         assert np.array_equal(short.per_trial[name], long.per_trial[name][:4])
 
 
-def test_trace_route_agrees_with_full_spectrum():
-    # the two computation paths must give identical statistics
+def test_trace_route_agrees_with_full_spectrum(monkeypatch):
+    # the two computation paths must give identical statistics; with no
+    # support under the cap, only full_spectrum=True eigensolves
+    monkeypatch.setattr(montecarlo, "FULL_SPECTRUM_CAP", 0)
     spec = conjugate_spec(8, 4)
     full = run_ensemble(spec, 4, 21, full_spectrum=True)
-    fast = run_ensemble(spec, 4, 21, full_spectrum=False)
+    fast = run_ensemble(spec, 4, 21)
+    assert "lambda1_iters" in fast.per_trial and "lambda1_iters" not in full.per_trial
     for name in ("lambda1", "bulk_m1", "bulk_m2", "bulk_m3", "bulk_std"):
         assert np.allclose(full.per_trial[name], fast.per_trial[name], rtol=1e-9)
 
@@ -594,12 +609,13 @@ def test_trace_route_agrees_with_full_spectrum():
     [(conjugate_spec(24, 24), 2), (independent_spec(24, 24), 3), (independent_spec(24, 32), 3)],
     ids=["conjugate-24-24", "independent-24-24", "independent-24-32"],
 )
-def test_trace_route_reports_lanczos(spec, trials):
-    # a 576-wide Gram takes the Lanczos solver; each trial says how many
-    # steps it took and whether it converged, and lambda1 agrees with the
-    # full eigensolve, also where the independent flavor's top eigenvalues
-    # cluster at the edge of the bulk
-    fast = run_ensemble(spec, trials, 8, full_spectrum=False)
+def test_trace_route_reports_lanczos(monkeypatch, spec, trials):
+    # on the trace route each trial says how many Lanczos steps lambda1 took
+    # and whether it converged, and lambda1 agrees with the full eigensolve,
+    # also where the independent flavor's top eigenvalues cluster at the edge
+    # of the bulk
+    monkeypatch.setattr(montecarlo, "FULL_SPECTRUM_CAP", 0)
+    fast = run_ensemble(spec, trials, 8)
     full = run_ensemble(spec, trials, 8, full_spectrum=True)
     assert np.all(fast.per_trial["lambda1_converged"])
     assert np.all((fast.per_trial["lambda1_iters"] >= 1) & (fast.per_trial["lambda1_iters"] < 120))
@@ -617,10 +633,12 @@ def test_moment_ensemble_trace_normalization_and_determinism():
 
 
 def test_moment_ensemble_extension_keeps_prefix():
+    # an independent (3, 2) trial's factor and isometry pair hold 36 entries each
+    edge = montecarlo._MOMENT_BATCH_ENTRIES // 36
     for spec, short_trials, long_trials in [
         (conjugate_spec(3, 2), 100, 150),
         (independent_spec(3, 2), 100, 150),
-        (independent_spec(3, 2), 2000, 2100),  # crosses the 2048-trial batch
+        (independent_spec(3, 2), edge - 48, edge + 52),  # crosses a batch edge
     ]:
         short = moment_ensemble(spec, 2, short_trials, 13)
         long = moment_ensemble(spec, 2, long_trials, 13)
