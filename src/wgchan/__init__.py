@@ -63,7 +63,6 @@ _EXPORTS = {
         "DensityMatrix",
         "EnsembleReport",
         "FactoredDensityMatrix",
-        "SpectralReport",
         "apply_channel",
         "bell_state",
         "conjugate_spec",
@@ -72,7 +71,6 @@ _EXPORTS = {
         "product_output",
         "run_ensemble",
         "sample_haar",
-        "spectral_report",
     ),
     "freeprob": (
         "EntropyPrediction",

@@ -181,6 +181,4 @@ def entropy_prediction(regime: RegimeParams, n: int, k: int) -> EntropyPredictio
         if c < 1:
             return EntropyPrediction(2 * math.log(k) - c * c / 2, c * c / 2, True)
         return EntropyPrediction(2 * math.log(n) - 1 / (2 * c * c), 1 / (2 * c * c), True)
-    if d < 2:
-        return EntropyPrediction(2 * math.log(n), 0.0, False)
     return EntropyPrediction(2 * math.log(n), 0.0, False)

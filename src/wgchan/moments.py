@@ -12,11 +12,13 @@ sum_sigma m^{#sigma} sigma, so
     E tr Z^p = m^{-p} sum_{alpha' in S_{2p}}
                k^{#(alpha' delta)} n^{#(alpha' delta gamma^{-1})} H(class alpha').
 
-H acts on the irrep rho of S_{2p} as content_rho(m) / content_rho(nk) and is
-read off the character table; no Weingarten table is built.  The alpha' sum
-is grouped by (class, #(alpha' delta), #(alpha' delta gamma^{-1})), an integer
-census (``perm.class_census``) computed once per order and wiring (gamma, or
-f_hat for the pinched sum).  It and the minimizations count over the cached
+H acts on the irrep rho of S_{2p} as content_rho(m) / content_rho(nk), or 0
+where content_rho(nk) vanishes (then so does content_rho(m), since m <= nk),
+and is read off the character table; no Weingarten table is built, and every
+n, k >= 1 has an exact value.  The alpha' sum is grouped by (class,
+#(alpha' delta), #(alpha' delta gamma^{-1})), an integer census
+(``perm.class_census``) computed once per order and wiring (gamma, or f_hat
+for the pinched sum).  It and the minimizations count over the cached
 ``perm.group_table(2p)``, which stops at S_8, so p <= 4.
 
 Every minimization objective is d A + B + const, with small integers A and B
@@ -181,7 +183,9 @@ def _class_weights(p: int, census, k: int, n: int) -> list[int]:
 
 def _single_sum(p: int, weights: list[int], m: int, nk: int) -> Fraction:
     """sum_mu weights[mu] H(mu) for the beta sum H = G_{2p}(m) Wg(nk), taken
-    irrep by irrep, where H acts as content_rho(m) / content_rho(nk)."""
+    irrep by irrep, where H acts as content_rho(m) / content_rho(nk).  An
+    irrep with more than nk rows has both contents 0; `wg_irrep_weights`
+    gives it weight 0 (the pseudo-inverse Wg), so it adds nothing."""
     coef, denom = wg_irrep_weights(nk, 2 * p)
     total = 0
     for c, rho, row in zip(coef, partitions(2 * p), character_table(2 * p)):
@@ -198,8 +202,6 @@ def validate_exact_args(p: int, n: int, k: int, m: int):
     cap = DEFAULT_ENUMERATION_CAP // 2
     if p > cap:
         raise ValueError(f"p={p} exceeds the exact-sum cap {cap} (the sum enumerates S_2p)")
-    if n * k < 2 * p:
-        raise ValueError(f"need n*k >= 2p for an invertible Weingarten table, got {n * k} < {2 * p}")
     if (n * k) % m != 0:
         raise ValueError(f"m={m} must divide n*k={n * k} (integer complement dimension)")
 

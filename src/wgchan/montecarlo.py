@@ -17,20 +17,20 @@ real basis.  Spectra, trace powers and pinching do not depend on the basis,
 since e = U_n* e.  The independent flavor has no such symmetry and stays
 complex.
 
-One set of builders serves a single output and a batch of them: the factor,
-Gram, pinching and trace-power helpers act on the last two axes and carry
-any leading trial axis along.  `product_output` calls them on one draw;
-`moment_ensemble` calls them on a stack of draws taken in the same order
-from one stream, so its conjugate flavor also runs in the real basis.  The
-one exception is a single complex Gram wider than 512 (`_streamed`):
-`_streamed_gram` folds it from blocks of W by BLAS zherk, so W is never
-held whole, and `_trace_powers` squares it in strips.
+One draw function, `_draw`, builds the Gram and Bell overlap of a single
+output and of a stack of them: the factor, Gram, pinching and trace-power
+helpers act on the last two axes and carry any leading trial axis along.
+`product_output` takes one output from it; `moment_ensemble` takes stacks
+drawn in the same order from one stream, so its conjugate flavor also runs
+in the real basis.  The one exception is a single complex Gram wider than
+512 (`_streamed`): `_streamed_gram` folds it from blocks of W by BLAS
+zherk, so W is never held whole, and `_trace_powers` squares it in strips.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -70,8 +70,11 @@ def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """q with each column times the phase of r's diagonal entry, in place:
+    a copy would be one more isometry stack at the peak of a draw."""
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def sample_haar(dim: int, seed) -> np.ndarray:
@@ -248,20 +251,19 @@ def independent_spec(n: int, k: int, m: int | None = None) -> ChannelSpec:
 class DensityMatrix:
     """Dense Hermitian, unit-trace, PSD matrix."""
 
-    def __init__(self, entries: np.ndarray, check: bool = True):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        if check:
-            if not np.isfinite(entries).all():
-                raise ValueError("entries must be finite")
-            scale = max(1.0, float(np.abs(entries).max()))
-            herm_defect = float(np.abs(entries - entries.conj().T).max())
-            if herm_defect > 1e-12 * scale:
-                raise ValueError(f"not Hermitian: defect {herm_defect:.3e}")
-            tr = complex(np.trace(entries))
-            if abs(tr - 1.0) > 1e-10:
-                raise ValueError(f"trace {tr} is not 1 within 1e-10")
+        if not np.isfinite(entries).all():
+            raise ValueError("entries must be finite")
+        scale = max(1.0, float(np.abs(entries).max()))
+        herm_defect = float(np.abs(entries - entries.conj().T).max())
+        if herm_defect > 1e-12 * scale:
+            raise ValueError(f"not Hermitian: defect {herm_defect:.3e}")
+        tr = complex(np.trace(entries))
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"trace {tr} is not 1 within 1e-10")
         self.entries = entries
         self.dim = entries.shape[0]
 
@@ -415,7 +417,7 @@ def bell_state(m: int) -> DensityMatrix:
     if m * m > DENSE_DIM_GUARD:
         raise ValueError(f"dense Bell state of dimension {m * m} exceeds guard")
     e = bell_vector(m)
-    return DensityMatrix(np.outer(e, e.conj()), check=False)
+    return DensityMatrix(np.outer(e, e.conj()))
 
 
 def apply_channel(spec: ChannelSpec, unitary: np.ndarray, state) -> DensityMatrix:
@@ -435,7 +437,7 @@ def apply_channel(spec: ChannelSpec, unitary: np.ndarray, state) -> DensityMatri
     embedded.reshape(m, l, m, l)[:, 0, :, 0] = x
     rotated = unitary @ embedded @ unitary.conj().T
     out = np.einsum("akbk->ab", rotated.reshape(n, k, n, k))
-    return DensityMatrix(out, check=False)
+    return DensityMatrix(out)
 
 
 #: Complex entries of P = V V* per row block of `_real_factor`.
@@ -600,67 +602,40 @@ def _check_factor_size(spec: ChannelSpec) -> None:
         )
 
 
+def _draw(
+    spec: ChannelSpec, rng: np.random.Generator, count: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(gram, Bell overlap) of one output of `spec`, or with `count` of a
+    stack of that many outputs drawn in turn from `rng`.
+
+    Each output takes its nk x m Stinespring isometries V = U (I_m (x) |0_l>)
+    from one `haar_isometry` call, which has the same law as those columns of
+    a Haar unitary: one for the conjugate flavor, which then works in the
+    real basis, two for the independent one, which stays complex.  The real
+    route and a complex Gram at most 512 wide, or batched, build W whole by
+    `_real_factor` or `_complex_factor`; a single `_streamed` complex Gram
+    comes from `_streamed_gram`, so the output holds the Gram and one block
+    of W at a time."""
+    n, k, m = spec.n, spec.k, spec.m
+    draws = 1 if spec.flavor == "conjugate" else 2
+    v = haar_isometry(n * k, m, rng, draws * (count or 1))
+    if count is not None:
+        v = v.reshape(count, draws, n * k, m)
+    v_a = v[..., 0, :, :]
+    if draws == 1:
+        return _gram_of_factor(n, k, _real_factor(spec, v_a))
+    v_b = v[..., 1, :, :]
+    if count is None and _streamed((n * n, k * k), complex, outer=k > n):
+        return _streamed_gram(spec, v_a, v_b)
+    return _gram_of_factor(n, k, _complex_factor(spec, v_a, v_b))
+
+
 def product_output(spec: ChannelSpec, seed) -> FactoredDensityMatrix:
     """Output Z = [Phi (x) Phi_bar](E_m) (or [Phi (x) Psi] for the
-    independent flavor) for one random draw.
-
-    Each draw is the nk x m Stinespring isometry V = U (I_m (x) |0_l>),
-    sampled directly by `haar_isometry`, which has the same law as those
-    columns of a Haar unitary.  Conjugate flavor consumes one draw and works
-    in the real basis; independent consumes two from the same stream and
-    stays complex.  Deterministic given the seed.
-
-    The real route and a complex Gram at most 512 wide build W whole and
-    hold it with its Gram.  A `_streamed` complex Gram comes from
-    `_streamed_gram` instead, so the trial holds the Gram and one block of W
-    at a time.
-    """
+    independent flavor) for one random draw by `_draw`; deterministic given
+    the seed."""
     _check_factor_size(spec)
-    rng = _as_rng(seed)
-    n, k = spec.n, spec.k
-    v_a = haar_isometry(n * k, spec.m, rng)
-    if spec.flavor == "conjugate":
-        w = _real_factor(spec, v_a)
-    else:
-        v_b = haar_isometry(n * k, spec.m, rng)
-        if _streamed((n * n, k * k), complex, outer=k > n):
-            return FactoredDensityMatrix(n, k, *_streamed_gram(spec, v_a, v_b))
-        w = _complex_factor(spec, v_a, v_b)
-    return FactoredDensityMatrix(n, k, *_gram_of_factor(n, k, w))
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Spectrum summary: the largest eigenvalue, entropy (natural log), and
-    the first four empirical moments of the bulk rescaled by `scale`, as
-    `spectral_report` computes them."""
-
-    largest: float
-    entropy: float
-    moments: tuple[float, float, float, float]
-
-
-def spectral_report(z, scale: float = 1.0, drop_largest: int = 0) -> SpectralReport:
-    """Eigendecompose, sort, and summarize a density matrix (dense array,
-    DensityMatrix, or FactoredDensityMatrix) whose eigenvalues sum to 1.
-    A dense array is checked as a `DensityMatrix` (finite, Hermitian to
-    1e-12 relative, unit trace).  The bulk must keep at least one eigenvalue
-    after `drop_largest`."""
-    if not 0 < scale < math.inf:
-        raise ValueError("scale must be finite and positive")
-    if not 0 <= drop_largest <= 2:
-        raise ValueError("drop_largest must be in {0, 1, 2}")
-    if not isinstance(z, (DensityMatrix, FactoredDensityMatrix)):
-        z = DensityMatrix(z)
-    eigs = z.eigenvalues()
-    if drop_largest >= len(eigs):
-        raise ValueError(f"drop_largest={drop_largest} must be less than the number of eigenvalues, {len(eigs)}")
-    total = float(eigs.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
-    rescaled = scale * eigs[drop_largest:]
-    moments = tuple(float(np.mean(rescaled**p)) for p in range(1, 5))
-    return SpectralReport(largest=float(eigs[0]), entropy=entropy_of(eigs), moments=moments)
+    return FactoredDensityMatrix(spec.n, spec.k, *_draw(spec, _as_rng(seed)))
 
 
 def stderr_of(values: np.ndarray) -> float:
@@ -673,12 +648,17 @@ def stderr_of(values: np.ndarray) -> float:
 
 @dataclass
 class EnsembleReport:
-    """Per-trial statistics with mean/stderr aggregation, and the bulk
-    settings they were computed with."""
+    """Per-trial statistics of `spec` with mean/stderr aggregation, and the
+    bulk settings they were computed with, taken from `spec` by
+    `_ensemble_settings`."""
 
-    scale: float
-    drop_largest: int
+    spec: ChannelSpec
     per_trial: dict[str, np.ndarray]
+    scale: float = field(init=False)
+    drop_largest: int = field(init=False)
+
+    def __post_init__(self):
+        self.scale, self.drop_largest, _ = _ensemble_settings(self.spec, 1)
 
     def names(self) -> list[str]:
         return sorted(self.per_trial)
@@ -693,31 +673,36 @@ class EnsembleReport:
     def from_trials(cls, spec: ChannelSpec, stats: list[dict[str, float]]) -> EnsembleReport:
         """The report of per-trial statistics dicts, in trial order, as
         `iter_trial_statistics` yields them."""
-        scale, drop_largest, _ = _ensemble_settings(spec, len(stats))
-        per_trial = {name: np.array([s[name] for s in stats]) for name in stats[0]}
-        return cls(scale, drop_largest, per_trial)
+        return cls(spec, {name: np.array([s[name] for s in stats]) for name in stats[0]})
 
 
 def _trial_statistics(spec, rng, scale, drop_largest, eigensolve):
+    """Statistics of one `product_output` drawn from `rng`; raise ValueError
+    for an output whose trace (the eigenvalue sum, or tr Z on the trace
+    route) is not 1 within 1e-10."""
     z = product_output(spec, rng)
-    support = z.gram.shape[0]
     stats: dict[str, float] = {}
     if eigensolve:
-        rep = spectral_report(z, scale=scale, drop_largest=drop_largest)
-        stats["lambda1"] = rep.largest
-        stats["entropy"] = rep.entropy
+        eigs = z.eigenvalues()
+        trace = float(eigs.sum())
+        stats["lambda1"] = float(eigs[0])
+        stats["entropy"] = entropy_of(eigs)
         for p in range(1, 5):
-            stats[f"bulk_m{p}"] = rep.moments[p - 1]
+            stats[f"bulk_m{p}"] = float(np.mean((scale * eigs[drop_largest:]) ** p))
     else:
         lam1, iters, converged = z.largest_eigenvalue_info()
         traces = z.trace_powers(4)
+        trace = traces[0]
         stats["lambda1"] = lam1
         stats["lambda1_iters"] = iters
         stats["lambda1_converged"] = converged
-        denom = support - drop_largest
+        denom = z.gram.shape[0] - drop_largest
         for p in range(1, 5):
             removed = lam1**p if drop_largest else 0.0
             stats[f"bulk_m{p}"] = (traces[p - 1] - removed) * scale**p / denom
+    # a NaN trace compares False with everything, so it fails here
+    if not abs(trace - 1.0) <= 1e-10:
+        raise ValueError(f"trial output has trace {trace}, expected 1 within 1e-10")
     stats["bulk_std"] = math.sqrt(max(stats["bulk_m2"] - stats["bulk_m1"] ** 2, 0.0))
     return stats
 
@@ -755,7 +740,8 @@ def run_ensemble(spec: ChannelSpec, trials: int, seed: int, full_spectrum: bool 
     takes the trace route: the bulk moments from trace powers, and lambda_1
     by Lanczos, with the steps it took (`lambda1_iters`, at most 120) and
     whether its top Ritz value settled to 1e-12 relative between steps
-    (`lambda1_converged`).  Trial t draws from ``default_rng([seed, t])``, so
+    (`lambda1_converged`).  Either route refuses a trial whose trace is not
+    1 within 1e-10.  Trial t draws from ``default_rng([seed, t])``, so
     the first trials of a longer run are those of a shorter one.
     """
     return EnsembleReport.from_trials(spec, list(iter_trial_statistics(spec, trials, seed, full_spectrum)))
@@ -806,12 +792,12 @@ def moment_ensemble(
     seed: int,
     pinched: bool = False,
 ) -> MomentEnsemble:
-    """Monte Carlo estimates of E tr(Z^p) for p = 1..p_max, batched over
-    trials through the builders of `product_output`, so the conjugate flavor
-    runs in the real basis.  Trial t is the t-th `product_output` drawn from
-    the one sequential stream ``default_rng(seed)``: one isometry per trial
-    for the conjugate flavor, two for the independent one.  Extending
-    `trials` therefore extends the ensemble.
+    """Monte Carlo estimates of E tr(Z^p) for p = 1..p_max from stacks of
+    outputs by `_draw`, so the conjugate flavor runs in the real basis.
+    Trial t is the t-th output drawn from the one sequential stream
+    ``default_rng(seed)``: one isometry per trial for the conjugate flavor,
+    two for the independent one.  Extending `trials` therefore extends the
+    ensemble.
     """
     validate_moment_args(spec, p_max, trials)
     n, k, m = spec.n, spec.k, spec.m
@@ -825,12 +811,7 @@ def moment_ensemble(
     pinched_arr = np.empty((trials, p_max)) if pinched else None
     for start in range(0, trials, size_cap):
         size = min(size_cap, trials - start)
-        v = haar_isometry(n * k, m, rng, size * draws).reshape(size, draws, n * k, m)
-        if real_basis:
-            w = _real_factor(spec, v[:, 0])
-        else:
-            w = _complex_factor(spec, v[:, 0], v[:, 1])
-        gram, overlap = _gram_of_factor(n, k, w)
+        gram, overlap = _draw(spec, rng, size)
         traces[start : start + size] = _trace_powers(gram, p_max)
         if pinched:
             pinched_arr[start : start + size] = _trace_powers(_pinch(gram, overlap, e), p_max)

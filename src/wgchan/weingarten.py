@@ -58,11 +58,14 @@ def wg_irrep_weights(n: int, q: int) -> tuple[list[int], int]:
     """Wg(n, .) on S_q in the character basis: integers ``c[lam]`` (in
     ``partitions(q)`` order) and one denominator ``D`` with
     ``c[lam] / D = dim lam / (q! content_lam(n))``, so that
-    ``Wg(n, mu) = sum_lam c[lam] chi_lam(mu) / D``.  Needs every
-    content_lam(n) nonzero, i.e. n >= q."""
+    ``Wg(n, mu) = sum_lam c[lam] chi_lam(mu) / D``.  An irrep whose content
+    vanishes (more than n rows, possible only for n < q) gets weight 0:
+    that is the pseudo-inverse Weingarten function, which the Haar
+    integration formula uses at any n (Collins-Sniady 2006)."""
     contents = [content_polynomial(lam, n) for lam in partitions(q)]
-    scale = math.lcm(*contents)
-    return [dim * (scale // c) for dim, c in zip(irrep_dims(q), contents)], scale * math.factorial(q)
+    scale = math.lcm(*(c for c in contents if c))
+    weights = [dim * (scale // c) if c else 0 for dim, c in zip(irrep_dims(q), contents)]
+    return weights, scale * math.factorial(q)
 
 
 def wg_exact(n: int, p: int, max_order: int = DEFAULT_WG_ORDER_CAP) -> WgTable:

@@ -72,7 +72,7 @@ def test_unwritable_out_is_invalid_input(tmp_path, capsys):
     "argv",
     [
         ["exact-moments", "--n", "3", "--k", "3", "--m", "4"],
-        ["exact-moments", "--n", "2", "--k", "2", "--p-max", "4"],
+        ["exact-moments", "--n", "3", "--k", "3", "--p-max", "5"],
         ["exact-moments", "--n", "3", "--k", "3", "--m", "9", "--pinched"],
         ["entropy", "--d", "0", "--c", "5/2", "--n-list", "8", "--trials", "1", "--seed", "1"],
         ["compare", "--n", "3", "--k", "3", "--m", "9", "--pinched", "--p-max", "2", "--trials", "4", "--seed", "3"],
@@ -95,10 +95,12 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["entropy", "--d", "0", "--c", "2", "--n-list", "8", "--trials", "0", "--seed", "1"],
         ["minimize", "--p", "0", "--d", "1"],
         ["minimize", "--p", "-1", "--d", "1"],
-        *[
-            ["compare", "--n", "3", "--k", "3", "--trials", "10", "--seed", "1", "--strict", "--z-threshold", value]
-            for value in ("-1", "0", "nan", "inf")
-        ],
+        # the exact sums take every n, k >= 1, and still refuse these
+        ["exact-moments", "--n", "0", "--k", "3"],
+        ["exact-moments", "--n", "3", "--k", "-1", "--pinched"],
+        ["exact-moments", "--n", "3", "--k", "3", "--p-max", "0"],
+        # the independent flavor has no exact value to gate on
+        ["compare", "--flavor", "independent", "--n", "3", "--k", "3", "--trials", "10", "--seed", "1", "--strict"],
         ["exact-moments", "--n", "3", "--k", "3", "--m", "0"],
         ["exact-moments", "--n", "3", "--k", "3", "--m", "-3"],
         ["minimize", "--p", "2", "--d", "1/0"],
@@ -152,11 +154,16 @@ def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):
 
 
 def test_removed_ensemble_options_are_usage_errors(capsys):
-    # trials run serially with the bulk settings taken from the channel
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "2"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    # trials run serially with the bulk settings taken from the channel, and
+    # compare --strict gates at the fixed |z| <= 4
+    for argv in (
+        ["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--threads", "2"],
+        ["compare", "--n", "3", "--k", "3", "--trials", "10", "--seed", "1", "--strict", "--z-threshold", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_cli_runs_without_scipy():
@@ -326,8 +333,6 @@ def test_compare_strict_fails_on_nan_gate(capsys, monkeypatch):
     [
         ["compare", "--flavor", "independent", "--n", "6", "--k", "3", "--p-max", "3",
          "--trials", "2000", "--seed", "1", "--strict"],
-        # nk = 4 < 2p at p = 3: no exact value for the last order
-        ["compare", "--n", "2", "--k", "2", "--p-max", "3", "--trials", "2000", "--seed", "1", "--strict"],
     ],
 )
 def test_compare_strict_refuses_orders_without_exact_value(capsys, monkeypatch, argv):
@@ -531,7 +536,8 @@ GOLDEN_CASES = [
         )
         for fmt in ("csv", "json")
     ],
-    ("exact_conj_n3_k2_rejected", ["exact-moments", "--n", "3", "--k", "2", "--p-max", "4"], 2),
+    # nk = 6 < 2p at p = 4: the pseudo-inverse Weingarten function still gives each order
+    ("exact_conj_n3_k2_csv", ["exact-moments", "--n", "3", "--k", "2", "--p-max", "4"], 0),
     ("minimize_p2", ["minimize", "--p", "2", *_MIN_D, "--check-tables"], 0),
     ("minimize_p3", ["minimize", "--p", "3", *_MIN_D, "--check-tables"], 0),
 ]

@@ -32,9 +32,9 @@ EXPORTS = {
         "minimize_S_pinched", "reference_S1", "reference_S2", "vanishing_cancellation_check",
     ],
     "montecarlo": [
-        "ChannelSpec", "DensityMatrix", "EnsembleReport", "FactoredDensityMatrix", "SpectralReport",
-        "apply_channel", "bell_state", "conjugate_spec", "independent_spec", "moment_ensemble",
-        "product_output", "run_ensemble", "sample_haar", "spectral_report",
+        "ChannelSpec", "DensityMatrix", "EnsembleReport", "FactoredDensityMatrix", "apply_channel",
+        "bell_state", "conjugate_spec", "independent_spec", "moment_ensemble", "product_output",
+        "run_ensemble", "sample_haar",
     ],
     "freeprob": [
         "EntropyPrediction", "MarchenkoPastur", "entropy_prediction", "gamma_t_vector", "mp_density",
@@ -103,7 +103,7 @@ for argv, code in (
     (["no-such-command"], 2),
     (["wg", "--n", "2", "--p", "5"], 2),
     (["minimize", "--p", "0", "--d", "1"], 2),
-    (["compare", "--n", "3", "--k", "3", "--trials", "9", "--seed", "1", "--z-threshold", "nan"], 2),
+    (["compare", "--n", "3", "--k", "3", "--trials", "1", "--seed", "1", "--strict"], 2),
     (["simulate", "--n", "8", "--trials", "2", "--seed", "-1"], 2),
     (["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--t", "1/0"], 2),
 ):
@@ -150,7 +150,7 @@ def test_no_cap_or_tolerance_parameters():
     objects = {name: getattr(wgchan, name) for name in wgchan.__all__}
     for cls in (wgchan.MarchenkoPastur, wgchan.DensityMatrix):
         objects.update({f"{cls.__name__}.{name}": f for name, f in vars(cls).items() if inspect.isfunction(f)})
-    knobs = {"cap", "max_order", "max_degree", "nodes", "tol", "threads"}
+    knobs = {"cap", "max_order", "max_degree", "nodes", "tol", "threads", "check", "scale", "drop_largest"}
     found = {
         (name, param)
         for name, obj in objects.items()

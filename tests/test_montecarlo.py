@@ -21,7 +21,6 @@ from wgchan.montecarlo import (
     product_output,
     run_ensemble,
     sample_haar,
-    spectral_report,
     trial_rng,
 )
 
@@ -489,8 +488,6 @@ def test_density_matrix_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(np.full((2, 2), bad))
-    with pytest.raises(ValueError):
-        DensityMatrix(np.full((2, 2), np.nan), check=False).validate_psd()
     dm = DensityMatrix(np.eye(2) / 2)
     dm.validate_psd()
 
@@ -513,42 +510,7 @@ def test_entropy_of_guards():
 
 
 # ---------------------------------------------------------------------------
-# spectral reports and ensembles
-
-
-def test_spectral_report_two_level_entropy():
-    vec = np.array([0.625, 0.125, 0.125, 0.125])
-    rep = spectral_report(np.diag(vec).astype(complex), scale=4.0, drop_largest=1)
-    expected = -(0.625 * math.log(0.625) + 3 * 0.125 * math.log(0.125))
-    assert rep.entropy == pytest.approx(expected, rel=1e-12)
-    assert rep.largest == pytest.approx(0.625)
-    assert rep.moments == pytest.approx((0.5, 0.25, 0.125, 0.0625))
-
-
-def test_spectral_report_maximally_mixed():
-    d = 8
-    rep = spectral_report(np.eye(d, dtype=complex) / d)
-    assert rep.entropy == pytest.approx(math.log(d))
-    assert rep.largest == pytest.approx(1 / d)
-
-
-def test_spectral_report_validation():
-    with pytest.raises(ValueError):
-        spectral_report(np.eye(3, dtype=complex) / 3, scale=-1.0)
-    for scale in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            spectral_report(np.eye(3, dtype=complex) / 3, scale=scale)
-    with pytest.raises(ValueError):
-        spectral_report(np.eye(3, dtype=complex))  # trace 3
-    with pytest.raises(ValueError):
-        spectral_report(np.array([[0.5, 0.2], [0.1, 0.5]]))  # not Hermitian
-    for bad in (math.inf, math.nan):  # refused before any arithmetic on it
-        with pytest.raises(ValueError, match="finite"):
-            spectral_report(np.array([[bad, 0.0], [0.0, 0.0]]))
-    for eigs, drop in ((1, 1), (2, 2)):  # nothing left in the bulk
-        message = f"drop_largest={drop} must be less than the number of eigenvalues, {eigs}$"
-        with pytest.raises(ValueError, match=message):
-            spectral_report(np.eye(eigs) / eigs, drop_largest=drop)
+# ensembles
 
 
 def test_eigenvalue_interlacing_after_pinching():
@@ -565,13 +527,30 @@ def test_eigenvalue_interlacing_after_pinching():
 
 
 def test_run_ensemble_single_trial_reduces_to_report():
+    # the conjugate flavor at n = 6, k = 3: bulk rescaled by k^2 = 9, lambda_1 dropped
     spec = conjugate_spec(6, 3)
     rep = run_ensemble(spec, 1, 77)
-    z = product_output(spec, trial_rng(77, 0))
-    direct = spectral_report(z, scale=9.0, drop_largest=1)
-    assert rep.per_trial["lambda1"][0] == pytest.approx(direct.largest, rel=1e-12)
-    assert rep.per_trial["entropy"][0] == pytest.approx(direct.entropy, rel=1e-12)
-    assert rep.per_trial["bulk_m2"][0] == pytest.approx(direct.moments[1], rel=1e-12)
+    eigs = product_output(spec, trial_rng(77, 0)).eigenvalues()
+    bulk = 9.0 * eigs[1:]
+    positive = eigs[eigs > 0]
+    assert rep.per_trial["lambda1"][0] == pytest.approx(eigs[0], rel=1e-12)
+    assert rep.per_trial["entropy"][0] == pytest.approx(-(positive * np.log(positive)).sum(), rel=1e-12)
+    for p in range(1, 5):
+        assert rep.per_trial[f"bulk_m{p}"][0] == pytest.approx((bulk**p).mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("route", ["eigensolve", "trace"])
+def test_run_ensemble_refuses_a_trial_without_unit_trace(monkeypatch, route):
+    # tr Z = 2: the eigenvalue sum on the eigensolve route, tr Z on the trace route
+    spec = conjugate_spec(6, 3)
+    doubled = lambda spec, rng: montecarlo.FactoredDensityMatrix(  # noqa: E731
+        spec.n, spec.k, 2 * np.eye(9) / 9, np.full(9, 1 / 3)
+    )
+    monkeypatch.setattr(montecarlo, "product_output", doubled)
+    if route == "trace":
+        monkeypatch.setattr(montecarlo, "FULL_SPECTRUM_CAP", 0)
+    with pytest.raises(ValueError, match="trace 2"):
+        run_ensemble(spec, 1, 5, full_spectrum=route == "eigensolve")
 
 
 def test_run_ensemble_stderr_shrinks():

@@ -21,6 +21,7 @@ from wgchan.weingarten import (
     wg_asymptotic,
     wg_cycle_exact,
     wg_exact,
+    wg_irrep_weights,
 )
 
 
@@ -139,6 +140,29 @@ def test_wg_rejects_singular_regime():
         wg_exact(1, 2)
     with pytest.raises(ValueError):
         wg_exact(2, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_irrep_weights_below_q_give_the_pseudo_inverse(q):
+    # for n < q the irreps with more than n rows have content 0 and weight 0:
+    # Wg is then the Moore-Penrose inverse of G = sum_sigma n^{#sigma} sigma
+    # in the group algebra, G Wg G = G and Wg G Wg = Wg, exactly
+    elems = [Permutation(s) for s in itertools.permutations(range(q))]
+
+    def conv(f, h):
+        return {s: sum(f[perm.compose(s, t.inverse())] * h[t] for t in elems) for s in elems}
+
+    for n in range(1, q):
+        coef, denom = wg_irrep_weights(n, q)
+        assert 0 in coef
+        by_class = {
+            CycleType(mu): Fraction(sum(c * row[j] for c, row in zip(coef, perm.character_table(q))), denom)
+            for j, mu in enumerate(partitions(q))
+        }
+        g = {s: Fraction(n) ** s.num_cycles for s in elems}
+        wg = {s: by_class[s.cycle_type()] for s in elems}
+        assert conv(conv(g, wg), g) == g
+        assert conv(conv(wg, g), wg) == wg
 
 
 def test_wg_order_cap():
