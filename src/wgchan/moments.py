@@ -13,21 +13,33 @@ sum_sigma m^{#sigma} sigma, so
                k^{#(alpha' delta)} n^{#(alpha' delta gamma^{-1})} H(class alpha').
 
 H acts on the irrep rho of S_{2p} as content_rho(m) / content_rho(nk), or 0
-where content_rho(nk) vanishes (then so does content_rho(m), since m <= nk),
-and is read off the character table; no Weingarten table is built, and every
-n, k >= 1 has an exact value.  The alpha' sum is grouped by (class,
-#(alpha' delta), #(alpha' delta gamma^{-1})), an integer census
-(``perm.class_census``) computed once per order and wiring (gamma, or f_hat
-for the pinched sum).  It and the minimizations count over the cached
-``perm.group_table(2p)``, which stops at S_8, so p <= 4.
+where content_rho(nk) vanishes (then so does content_rho(m), since m <= nk);
+no Weingarten table is built, and every n, k >= 1 has an exact value.  The
+alpha' sum is grouped by (class, #(alpha' delta), #(alpha' delta
+gamma^{-1})), an integer census (``perm.class_census``), and the census is
+folded through the character table into one integer polynomial per irrep,
+
+    P_rho(k, n) = sum_mu chi_rho(mu) sum_{(a, b, count) in census[mu]} count k^a n^b,
+
+so that E tr Z^p = m^{-p} sum_rho c_rho(nk) content_rho(m) P_rho(k, n) / D(nk),
+with c_rho / D = dim rho / ((2p)! content_rho(nk)) from
+``weingarten.wg_irrep_weights``: an explicit rational function of (n, k, m).
+The census and the polynomials are built once per order and wiring (gamma,
+or the f_hat of every choice function, merged, for the pinched sum); a call
+evaluates the polynomials and takes one sum over the irreps.  The census and
+the minimizations count over the cached ``perm.group_table(2p)``, which
+stops at S_8, so p <= 4.
 
 Every minimization objective is d A + B + const, with small integers A and B
 fixed at each point of the domain.  So each problem and order has one cached,
 read-only census (`_Census`), built in one pass over S_{2p} (S1, S2) or
-S_{2p}^2 (S and the pinched S): the (A, B) classes that occur (2 to 36 for S1
-and S2 at p <= 4, at most 53 for the pair problems at p <= 3) and the points
-of each, in row-major order.  A value d = num/den is answered from the class
-table: score each class as num A + den B, take the minimum, and read the
+S_{2p}^2 (S and the pinched S): the (A, B) classes that attain the minimum
+at some d >= 0, the contenders (2 to 8 per problem and order, of up to 36
+classes that occur for S1 and S2 at p <= 4 and 53 for the pair problems at
+p <= 3), and the points of each, in row-major order.  The other classes'
+points are never read, so they are not kept: at p = 3 the pair census holds
+28 of the 518400 points of S_6^2.  A value d = num/den is answered from the
+contenders: score each as num A + den B, take the minimum, and read the
 points of the winning classes.  The pinched problem's minimum over choice
 functions, min_f (#Bell(f) + |alpha f_hat^{-1}|), does not depend on d and
 enters B once per alpha.
@@ -37,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +72,7 @@ from .perm import (
     make_gamma_delta,
     partitions,
 )
-from .weingarten import WgTable, wg_irrep_weights
+from .weingarten import WgTable, check_integers, wg_irrep_weights
 
 #: Pair searches (S and the pinched variant) enumerate S_{2p}^2.
 DEFAULT_PAIR_ORDER = 3
@@ -172,29 +185,53 @@ def _pinched_census(p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     return tuple(tuple((a, b, cnt) for (a, b), cnt in sorted(acc.items()) if cnt) for acc in merged)
 
 
-def _class_weights(p: int, census, k: int, n: int) -> list[int]:
-    """Per class lam: sum of count * k^a n^b over the census cells (a, b,
-    count) of lam; for the census of `target` that is the sum over alpha in
-    lam of k^{#(alpha delta)} n^{#(alpha delta target^{-1})}."""
-    k_pow = [k**a for a in range(2 * p + 1)]
-    n_pow = [n**b for b in range(3 * p + 1)]
-    return [sum(cnt * k_pow[a] * n_pow[b] for a, b, cnt in cells) for cells in census]
+@lru_cache(maxsize=16)
+def _irrep_polynomials(p: int, pinched: bool) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The census of gamma (or, pinched, the merged `_pinched_census`)
+    folded through the characters of S_{2p}, once per order and wiring: for
+    each irrep rho, in ``partitions(2p)`` order, the integer polynomial
+
+        P_rho(k, n) = sum_mu chi_rho(mu) sum_{(a, b, count) in census[mu]} count k^a n^b.
+
+    Returned as the monomials (a, b) that occur and one row of coefficients
+    per irrep, aligned with them."""
+    census = _pinched_census(p) if pinched else _class_census(p, make_gamma_delta(p)[0].images)
+    monomials = sorted({(a, b) for cells in census for a, b, _ in cells})
+    column = {ab: j for j, ab in enumerate(monomials)}
+    rows = []
+    for chi in character_table(2 * p):
+        row = [0] * len(monomials)
+        for x, cells in zip(chi, census):
+            for a, b, cnt in cells:
+                row[column[a, b]] += x * cnt
+        rows.append(tuple(row))
+    return tuple(monomials), tuple(rows)
 
 
-def _single_sum(p: int, weights: list[int], m: int, nk: int) -> Fraction:
-    """sum_mu weights[mu] H(mu) for the beta sum H = G_{2p}(m) Wg(nk), taken
-    irrep by irrep, where H acts as content_rho(m) / content_rho(nk).  An
-    irrep with more than nk rows has both contents 0; `wg_irrep_weights`
-    gives it weight 0 (the pseudo-inverse Wg), so it adds nothing."""
-    coef, denom = wg_irrep_weights(nk, 2 * p)
+def _single_sum(p: int, pinched: bool, n: int, k: int, m: int) -> tuple[int, int]:
+    """The sum over alpha' of the module docstring as an integer fraction
+    (numerator, denominator), taken irrep by irrep:
+
+        sum_rho c_rho(nk) content_rho(m) P_rho(k, n) / D(nk),
+
+    with P_rho from `_irrep_polynomials` and c_rho / D the Weingarten weights
+    of `wg_irrep_weights`, by which H = G_{2p}(m) Wg(nk) acts on rho.  An
+    irrep with more than nk rows has both contents 0 and gets weight 0 (the
+    pseudo-inverse Wg), so it adds nothing."""
+    monomials, rows = _irrep_polynomials(p, pinched)
+    coef, denom = wg_irrep_weights(n * k, 2 * p)
+    values = [k**a * n**b for a, b in monomials]
     total = 0
-    for c, rho, row in zip(coef, partitions(2 * p), character_table(2 * p)):
-        total += c * content_polynomial(rho, m) * sum(w * x for w, x in zip(weights, row))
-    return Fraction(total, denom)
+    for c, rho, row in zip(coef, partitions(2 * p), rows):
+        total += c * content_polynomial(rho, m) * sum(map(operator.mul, row, values))
+    return total, denom
 
 
 def validate_exact_args(p: int, n: int, k: int, m: int):
-    """Raise ValueError unless the exact sums accept every order up to p at (n, k, m)."""
+    """Raise ValueError unless the exact sums accept every order up to p at
+    (n, k, m): all four integers (not bool), p within the cap, dimensions
+    >= 1, and m dividing nk."""
+    check_integers(p=p, n=n, k=k, m=m)
     if p < 1:
         raise ValueError("p must be >= 1")
     if min(n, k, m) < 1:
@@ -219,27 +256,30 @@ def exact_moment_conjugate(p: int, n: int, k: int, m: int | None = None, wg: WgT
             Wg(nk, alpha beta^{-1})
 
     evaluated in rational arithmetic as the single sum over alpha' = alpha delta
-    described in the module docstring.  A table passed as ``wg`` is checked to
-    be the one for (nk, 2p) but not read: the sum takes Wg from the characters.
+    described in the module docstring: m^{-p} sum_rho c_rho(nk)
+    content_rho(m) P_rho(k, n) / D(nk), with the irrep polynomials P_rho
+    built once per order.  A table passed as ``wg`` is checked to be the one
+    for (nk, 2p) but not read: the sum takes Wg from the characters.
     """
     m = n if m is None else m
     validate_exact_args(p, n, k, m)
     _check_wg(n, k, p, wg)
-    gamma, _, _ = make_gamma_delta(p)
-    return _single_sum(p, _class_weights(p, _class_census(p, gamma.images), k, n), m, n * k) / Fraction(m) ** p
+    total, denom = _single_sum(p, False, n, k, m)
+    return Fraction(total, denom * m**p)
 
 
 def exact_moment_pinched(p: int, n: int, k: int, wg: WgTable | None = None) -> Fraction:
     """Exact E[tr((QZQ)^p)] at m = n, summed over all 2^p choice functions:
     each term carries sign (-1)^{#Bell picks}, Bell normalization n^{-#Bell},
     and the permutation sum with gamma replaced by f_hat.  All 2^p censuses
-    are merged once per order (`_pinched_census`), so a call forms one
-    class-weight vector and takes the one single sum.  ``wg`` is checked and
-    not read, as in `exact_moment_conjugate`."""
+    are merged once per order (`_pinched_census`) and folded through the
+    characters into one set of irrep polynomials, so a call evaluates those
+    and takes the one single sum.  ``wg`` is checked and not read, as in
+    `exact_moment_conjugate`."""
     validate_exact_args(p, n, k, n)
     _check_wg(n, k, p, wg)
-    weights = _class_weights(p, _pinched_census(p), k, n)
-    return _single_sum(p, weights, n, n * k) / Fraction(n) ** (2 * p)
+    total, denom = _single_sum(p, True, n, k, n)
+    return Fraction(total, denom * n ** (2 * p))
 
 
 def vanishing_cancellation_check(p: int, alpha: Permutation) -> bool:
@@ -297,20 +337,29 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=4)
-def _pair_length_matrix(p: int) -> np.ndarray:
-    """|alpha beta^{-1}| for all pairs, as a read-only (N, N) int16 matrix."""
+def _pair_lengths(p: int, alphas: np.ndarray | None = None) -> np.ndarray:
+    """|alpha beta^{-1}| for each of `alphas` (all of S_{2p} by default,
+    as indices) and every beta, as an int16 (len(alphas), N) matrix.  Only
+    the censuses read it, once, so it is built a block of 64 alphas at a
+    time and not kept: at p = 3 the whole-domain index scratch would run to
+    about 10 MB, much of which the allocator keeps resident."""
     g = group_table(2 * p)
-    return _frozen(_lengths(p)[index_of(g.perms[:, g.perms[g.inverse]])])
+    alphas = np.arange(len(g.perms)) if alphas is None else alphas
+    lengths, inverses = _lengths(p), g.perms[g.inverse]
+    out = np.empty((len(alphas), len(g.perms)), dtype=np.int16)
+    for lo in range(0, len(alphas), 64):
+        out[lo : lo + 64] = lengths[index_of(g.perms[alphas[lo : lo + 64]][:, inverses])]
+    return out
 
 
 @dataclass(frozen=True)
 class _Census:
-    """The exponent classes of one minimization problem at one order: the
-    objective is d A + B + const at every domain point, with small integers
-    A and B.  `classes` lists the (A, B) that occur; the points of class j,
-    as row-major flat indices into the domain, are
-    ``points[start[j]:start[j + 1]]``, in increasing order."""
+    """The exponent classes of one minimization problem at one order that
+    can attain the minimum: the objective is d A + B + const at every domain
+    point, with small integers A and B, and `classes` lists the (A, B) that
+    are least at some d >= 0.  The points of class j, as row-major flat
+    indices into the domain, are ``points[start[j]:start[j + 1]]``, in
+    increasing order."""
 
     classes: tuple[tuple[int, int], ...]
     points: np.ndarray
@@ -318,16 +367,38 @@ class _Census:
 
 
 def _census(a: np.ndarray, b: np.ndarray) -> _Census:
-    """Group a domain's points by their key (A, B), given as int16 arrays."""
+    """Group a domain's points by their key (A, B), given as int16 arrays,
+    and keep the classes of `_contenders`: at p = 3 that is 28 of the
+    518400 points of S_6^2."""
     width = int(b.max()) + 1
     key = (a * width + b).ravel()
-    counts = np.bincount(key)
-    present = np.flatnonzero(counts)
-    start = np.zeros(len(present) + 1, dtype=np.int64)
-    np.cumsum(counts[present], out=start[1:])
-    points = np.argsort(key, kind="stable").astype(np.int32)
-    classes = tuple(divmod(int(k), width) for k in present)
-    return _Census(classes, _frozen(points), _frozen(start))
+    seen = np.zeros(int(key.max()) + 1, dtype=bool)
+    seen[key] = True  # np.bincount would first copy the keys to intp
+    present = np.flatnonzero(seen)
+    keys = [int(present[j]) for j in _contenders([divmod(int(k), width) for k in present])]
+    hits = [np.flatnonzero(key == k).astype(np.int32) for k in keys]
+    start = np.zeros(len(hits) + 1, dtype=np.int64)
+    np.cumsum([len(h) for h in hits], out=start[1:])
+    return _Census(tuple(divmod(k, width) for k in keys), _frozen(np.concatenate(hits)), _frozen(start))
+
+
+def _contenders(classes: list[tuple[int, int]]) -> list[int]:
+    """Indices of the classes (A, B) that attain min d A + B at some d >= 0,
+    in increasing order: the classes of least B (the winners at d = 0),
+    then, walking d up the lower convex chain of the points (A, B), every
+    class tied at each break."""
+    low = min(b for _, b in classes)
+    keep = {j for j, (_, b) in enumerate(classes) if b == low}
+    a0, b0 = min(classes[j] for j in keep)
+    while True:
+        # the d at which each class of smaller A ties the current winner
+        breaks = {j: Fraction(b - b0, a0 - a) for j, (a, b) in enumerate(classes) if a < a0}
+        if not breaks:
+            return sorted(keep)
+        d = min(breaks.values())
+        ties = [j for j, at in breaks.items() if at == d]
+        keep.update(ties)
+        a0, b0 = min(classes[j] for j in ties)
 
 
 def _best(census: _Census, d: Fraction, const: Fraction | int) -> tuple[Fraction, np.ndarray]:
@@ -383,9 +454,9 @@ def minimize_S2(p: int, d) -> ExponentReport:
     """Exhaustive minimization of S2(beta) = d|beta| + |beta gtilde^{-1}|
     + |beta delta| - p over S_{2p}.
 
-    Answered from the order's census of at most 36 classes.  On a 2-vCPU
-    VM that costs about 2 ms once per order at p = 4 (S_8's table aside),
-    then 25-45 us a call."""
+    Answered from the order's census of at most 8 contending classes.  On
+    a 2-vCPU VM that costs about 3 ms once per order at p = 4 (S_8's table
+    aside), then 15-30 us a call."""
     _check_order(p, pair=False)
     _, _, gtilde = make_gamma_delta(p)
     return _minimize_single("S2", p, d, gtilde)
@@ -406,7 +477,7 @@ def _pair_census(p: int) -> _Census:
     """Census of S over S_{2p}^2: A = |alpha| + |alpha beta^{-1}|,
     B = |alpha gamma^{-1}| + |beta delta| + |alpha beta^{-1}|."""
     gamma, delta, _ = make_gamma_delta(p)
-    pair = _pair_length_matrix(p)
+    pair = _pair_lengths(p)
     return _census(_lengths(p)[:, None] + pair, (_lengths(p, gamma.inverse())[:, None] + _lengths(p, delta)) + pair)
 
 
@@ -417,9 +488,9 @@ def minimize_S(p: int, d) -> ExponentReport:
 
     At d = 1 this is the exponent of the generalized linear model, so the
     same search answers both regimes.  Answered from the order's census of
-    at most 53 classes.  On a 2-vCPU VM that costs about 25 ms once at
-    p = 3 (the pair lengths over S_6^2, then one stable sort of the keys),
-    then 20-80 us a call.
+    6 contending classes at p = 3.  On a 2-vCPU VM that costs about 20 ms
+    once at p = 3 (the pair lengths over S_6^2, then one pass over the keys
+    per contender), then 20-90 us a call.
     """
     _check_order(p, pair=True)
     d = _exponent(d)
@@ -442,7 +513,7 @@ def _pinched_pair_census(p: int) -> tuple[_Census, np.ndarray, np.ndarray]:
     cost = np.array([f.bell_count + _lengths(p, choice_to_permutation(f).inverse())[rows] for f in choice_functions(p)])
     least = cost.min(axis=0)
     choices = ((cost == least) << np.arange(len(cost))[:, None]).sum(axis=0)
-    pair = _pair_length_matrix(p)[rows]
+    pair = _pair_lengths(p, rows)
     census = _census(_lengths(p)[rows, None] + pair, (least[:, None] + _lengths(p, delta)) + pair)
     return census, _frozen(rows), _frozen(choices)
 
@@ -457,9 +528,9 @@ def minimize_S_pinched(p: int, d) -> ExponentReport:
     in both regimes the minimum is 0.  Minimizers are the (f, alpha, beta)
     with (alpha, beta) optimal for the pair problem in which #Bell +
     |alpha f_hat^{-1}| is minimized over f, and f among alpha's minimizing
-    choices, listed f by f.  Answered from the order's census of at most 52
-    classes.  On a 2-vCPU VM that costs about 3 ms once at p = 3 when
-    `minimize_S` has built the pair lengths (15 ms more otherwise), then
+    choices, listed f by f.  Answered from the order's census of 6
+    contending classes at p = 3.  On a 2-vCPU VM that costs about 7 ms once
+    at p = 3 (the pair lengths of the alphas outside V included), then
     about 90 us a call.
     """
     _check_order(p, pair=True)

@@ -304,9 +304,6 @@ class FactoredDensityMatrix:
     def side(self) -> str:
         return "output" if self.k > self.n else "ancilla"
 
-    def trace(self) -> float:
-        return float(np.trace(self.gram).real)
-
     def eigenvalues(self) -> np.ndarray:
         """Nonzero-support spectrum, descending."""
         return np.linalg.eigvalsh(self.gram)[::-1]

@@ -350,13 +350,15 @@ def conjugate(g: Permutation, a: Permutation) -> Permutation:
     return compose(compose(g, a), g.inverse())
 
 
-def partitions(m: int) -> list[tuple[int, ...]]:
-    """Integer partitions of m, parts non-increasing, deterministic order.
+@lru_cache(maxsize=None)
+def partitions(q: int) -> tuple[tuple[int, ...], ...]:
+    """Integer partitions of q, parts non-increasing, deterministic order;
+    built once per q.
 
-    This order indexes the conjugacy classes of S_m everywhere in the package.
+    This order indexes the conjugacy classes of S_q everywhere in the package.
     """
-    if m == 0:
-        return [()]
+    if q == 0:
+        return ((),)
     out = []
 
     def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
@@ -366,8 +368,8 @@ def partitions(m: int) -> list[tuple[int, ...]]:
         for part in range(min(remaining, largest), 0, -1):
             rec(remaining - part, part, prefix + (part,))
 
-    rec(m, m, ())
-    return out
+    rec(q, q, ())
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +415,13 @@ def content_polynomial(shape: tuple[int, ...], x: int) -> int:
     """``prod_{(i, j) in shape} (x + j - i)``: the scalar by which the central
     element ``sum_sigma x^{#sigma} sigma`` of S_q acts on the irrep ``shape``
     (Collins-Sniady 2006)."""
-    return math.prod(x + j - i for i, part in enumerate(shape) for j in range(part))
+    return math.prod([x + c for c in _contents(shape)])
+
+
+@lru_cache(maxsize=None)
+def _contents(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The content j - i of every box (i, j) of the Young diagram ``shape``."""
+    return tuple(j - i for i, part in enumerate(shape) for j in range(part))
 
 
 @dataclass(frozen=True)
@@ -428,32 +436,32 @@ class GroupTable:
 
 
 @lru_cache(maxsize=None)
-def group_table(m: int) -> GroupTable:
-    """The array table of S_m, built once per degree for the life of the
+def group_table(q: int) -> GroupTable:
+    """The array table of S_q, built once per degree for the life of the
     process.  Cycle types come from orbit lengths, for every element at
     once: point x lies on a cycle of length r, the least r >= 1 with
     sigma^r(x) = x, so r * (number of r-cycles) points have orbit length r."""
-    if m > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"group degree {m} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    n_elems = math.factorial(m)
-    images = itertools.chain.from_iterable(itertools.permutations(range(m)))
-    perms = np.fromiter(images, dtype=np.uint8, count=n_elems * m).reshape(n_elems, m)
+    if q > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"group degree {q} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    n_elems = math.factorial(q)
+    images = itertools.chain.from_iterable(itertools.permutations(range(q)))
+    perms = np.fromiter(images, dtype=np.uint8, count=n_elems * q).reshape(n_elems, q)
     # argsort of a row of one-line images is the row of its inverse
     inverse = index_of(np.argsort(perms, axis=1))
 
-    # the cycle type as a number: the count of r-cycles is digit r - 1 in base m + 1
+    # the cycle type as a number: the count of r-cycles is digit r - 1 in base q + 1
     ncycles = np.zeros(n_elems, dtype=np.int64)
     key = np.zeros(n_elems, dtype=np.int64)
-    returned = np.zeros((n_elems, m), dtype=bool)
+    returned = np.zeros((n_elems, q), dtype=bool)
     power = perms  # sigma^r, one row per element
-    for r in range(1, m + 1):
-        first = (power == np.arange(m)) & ~returned  # the points of orbit length r
+    for r in range(1, q + 1):
+        first = (power == np.arange(q)) & ~returned  # the points of orbit length r
         returned |= first
         count = np.count_nonzero(first, axis=1) // r
         ncycles += count
-        key += count * (m + 1) ** (r - 1)
+        key += count * (q + 1) ** (r - 1)
         power = np.take_along_axis(perms, power, axis=1)
-    class_keys = np.array([sum((m + 1) ** (r - 1) for r in parts) for parts in partitions(m)], dtype=np.int64)
+    class_keys = np.array([sum((q + 1) ** (r - 1) for r in parts) for parts in partitions(q)], dtype=np.int64)
     order = np.argsort(class_keys)
     cls = order[np.searchsorted(class_keys, key, sorter=order)]
     return GroupTable(perms, inverse, ncycles, cls)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -68,9 +69,19 @@ def wg_irrep_weights(n: int, q: int) -> tuple[list[int], int]:
     return weights, scale * math.factorial(q)
 
 
+def check_integers(**values) -> None:
+    """Raise ValueError unless every value is an int; a bool is refused too.
+    The exact sums evaluate integer polynomials, so a float would be rounded
+    silently."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def wg_exact(n: int, p: int, max_order: int = DEFAULT_WG_ORDER_CAP) -> WgTable:
     """Exact rational Weingarten table for S_p at dimension n, read off the
     character table by ``wg_irrep_weights``; no group element is enumerated."""
+    check_integers(n=n, p=p)
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
     if p > max_order:
@@ -79,10 +90,9 @@ def wg_exact(n: int, p: int, max_order: int = DEFAULT_WG_ORDER_CAP) -> WgTable:
         raise ValueError(f"n < p ({n} < {p}): content_lam(n) vanishes for some irrep, table rejected")
 
     coef, denom = wg_irrep_weights(n, p)
-    chi = character_table(p)
     values = {
-        CycleType(mu): Fraction(sum(c * row[j] for c, row in zip(coef, chi)), denom)
-        for j, mu in enumerate(partitions(p))
+        CycleType(mu): Fraction(sum(map(operator.mul, coef, column)), denom)
+        for mu, column in zip(partitions(p), zip(*character_table(p)))
     }
     return WgTable(n=n, p=p, values=values)
 

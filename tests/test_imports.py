@@ -161,6 +161,23 @@ def test_no_cap_or_tolerance_parameters():
     assert found == {("wg_exact", "max_order")}
 
 
+def test_exact_caches_are_not_keyed_by_dimension():
+    # the exact layers cache work per order, wiring or shape; a cache keyed
+    # by a dimension would, on a warm loop over the same points, replace the
+    # sum it times with a dictionary lookup
+    import importlib
+
+    cached = {}
+    for module in ("perm", "weingarten", "moments"):
+        layer = importlib.import_module("wgchan." + module)
+        for name, obj in vars(layer).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == layer.__name__:
+                cached[f"{module}.{name}"] = set(inspect.signature(obj).parameters)
+    assert {"perm.partitions", "perm.group_table", "moments._irrep_polynomials"} <= set(cached)
+    keyed = {name for name, params in cached.items() if params & {"n", "k", "m", "nk"}}
+    assert keyed == set()
+
+
 def _scipy_imports(node: ast.AST) -> int:
     return sum(
         isinstance(sub, ast.Import) and any(alias.name.split(".")[0] == "scipy" for alias in sub.names)

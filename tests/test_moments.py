@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from wgchan.moments import (
     ExponentReport,
     RegimeParams,
     _class_census,
+    _contenders,
+    _irrep_polynomials,
     _pair_census,
-    _pair_length_matrix,
+    _pinched_census,
     _pinched_pair_census,
     _single_census,
     asymptotic_moment_conjugate,
@@ -28,10 +31,11 @@ from wgchan.moments import (
     minimize_S_pinched,
     reference_S1,
     reference_S2,
+    validate_exact_args,
     vanishing_cancellation_check,
 )
-from wgchan.perm import Permutation, all_permutations, make_gamma_delta
-from wgchan.weingarten import wg_exact
+from wgchan.perm import Permutation, all_permutations, character_table, irrep_dims, make_gamma_delta, partitions
+from wgchan.weingarten import wg_exact, wg_irrep_weights
 
 
 def brute_moment_conjugate(p, n, k, m):
@@ -125,6 +129,50 @@ def test_class_census_totals(p):
     assert sum(totals.pop()) == math.factorial(2 * p)
 
 
+def class_basis_moment(p, n, k, m, pinched):
+    """The census summed in the class basis, the route the irrep polynomials
+    replaced: one weight per class, sum over alpha' in the class of
+    k^{#(alpha' delta)} n^{#(alpha' delta target^{-1})}, pushed through the
+    character table, with each irrep's content product taken box by box."""
+    gamma, _, _ = make_gamma_delta(p)
+    census = _pinched_census(p) if pinched else _class_census(p, gamma.images)
+    weights = [sum(cnt * k**a * n**b for a, b, cnt in cells) for cells in census]
+    coef, denom = wg_irrep_weights(n * k, 2 * p)
+    total = 0
+    for c, rho, row in zip(coef, partitions(2 * p), character_table(2 * p)):
+        content = math.prod(m + j - i for i, part in enumerate(rho) for j in range(part))
+        total += c * content * sum(w * x for w, x in zip(weights, row))
+    return Fraction(total, denom) / Fraction(m) ** (2 * p if pinched else p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))
+def test_irrep_polynomials_match_class_basis_sum(p, n, k):
+    # zero tolerance, at every divisor m of nk, also where nk < 2p
+    for m in (d for d in range(1, n * k + 1) if n * k % d == 0):
+        assert exact_moment_conjugate(p, n, k, m) == class_basis_moment(p, n, k, m, pinched=False)
+    assert exact_moment_pinched(p, n, k) == class_basis_moment(p, n, k, n, pinched=True)
+
+
+@pytest.mark.parametrize("pinched", [False, True], ids=["gamma", "pinched"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_irrep_polynomials_column_orthogonality(p, pinched):
+    # sum_rho dim rho chi_rho(mu) is (2p)! on the identity class and 0 on
+    # every other, so sum_rho dim rho P_rho is (2p)! times the identity
+    # class's weight, coefficient by coefficient: k^{#delta} n^{#(delta
+    # target^{-1})} for gamma, summed with the Bell sign and normalization
+    # over the choice functions when pinched
+    monomials, rows = _irrep_polynomials(p, pinched)
+    folded = dict(zip(monomials, (sum(d * c for d, c in zip(irrep_dims(2 * p), col)) for col in zip(*rows))))
+    gamma, delta, _ = make_gamma_delta(p)
+    wirings = [(f.bell_count, choice_to_permutation(f)) for f in choice_functions(p)] if pinched else [(0, gamma)]
+    expected = {}
+    for e, target in wirings:
+        cell = (delta.num_cycles, perm.compose(delta, target.inverse()).num_cycles + (p - e if pinched else 0))
+        expected[cell] = expected.get(cell, 0) + (-1) ** e * math.factorial(2 * p)
+    assert {ab: c for ab, c in folded.items() if c} == {ab: c for ab, c in expected.items() if c}
+
+
 def test_heavy_order_four_cross_validated():
     # p = 4, the largest order the S_2p enumeration allows: frozen value cross-checked by MC
     from wgchan.montecarlo import conjugate_spec, moment_ensemble
@@ -165,6 +213,22 @@ def test_exact_moment_preconditions():
             exact_moment_conjugate(2, n, k, m)  # a dimension below 1
     with pytest.raises(ValueError):
         exact_moment_pinched(2, -3, -3)
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, Fraction(3), "3"], ids=repr)
+@pytest.mark.parametrize("slot", range(4), ids=["p", "n", "k", "m"])
+def test_exact_sums_refuse_non_integers(slot, bad):
+    # refused before any work, naming the argument: a float or a Fraction
+    # would otherwise be pushed through the integer polynomials
+    args = [2, 3, 3, 3]
+    args[slot] = bad
+    name = "pnkm"[slot]
+    for call in (validate_exact_args, exact_moment_conjugate):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(*args)
+    if slot < 3:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            exact_moment_pinched(*args[:3])
 
 
 def test_wg_table_shape_checked():
@@ -477,6 +541,19 @@ def _tie_probes(census):
     return [Fraction(0), *ties, *mids, (ties[-1] if ties else 0) + 1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=20))
+def test_contenders_are_the_classes_least_at_some_d(points):
+    # a census keeps only the classes that win at some d >= 0; the winners
+    # are constant between tie points, so the probes see every winner
+    classes = sorted(points)
+    winners = set()
+    for d in _tie_probes(SimpleNamespace(classes=classes)):
+        scores = [d * a + b for a, b in classes]
+        winners |= {j for j, s in enumerate(scores) if s == min(scores)}
+    assert _contenders(classes) == sorted(winners)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_reference_tables_hold_for_every_d(p):
     gamma, _, gtilde = make_gamma_delta(p)
@@ -489,7 +566,7 @@ def test_reference_tables_hold_for_every_d(p):
 def test_minimization_caches_are_read_only():
     gamma, _, _ = make_gamma_delta(2)
     pinched, rows, choices = _pinched_pair_census(2)
-    arrays = [_pair_length_matrix(2), rows, choices]
+    arrays = [rows, choices]
     for census in (_single_census(2, gamma), _pair_census(2), pinched):
         arrays += [census.points, census.start]
     for array in arrays:

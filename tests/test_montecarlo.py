@@ -323,7 +323,7 @@ def test_real_factor_blocks_and_batches_are_bitwise_identical(monkeypatch, n, k,
 def test_product_output_trace_one():
     for seed in range(5):
         z = product_output(conjugate_spec(4, 3), seed)
-        assert abs(z.trace() - 1) < 1e-10
+        assert abs(z.trace_powers(1)[0] - 1) < 1e-10
 
 
 def test_product_output_output_side_when_k_exceeds_n():
@@ -331,7 +331,7 @@ def test_product_output_output_side_when_k_exceeds_n():
     spec = ChannelSpec(n=3, k=9, m=3)
     z = product_output(spec, 2)
     assert z.side == "output" and z.gram.shape == (9, 9)
-    assert abs(z.trace() - 1) < 1e-10
+    assert abs(z.trace_powers(1)[0] - 1) < 1e-10
     assert z.eigenvalues().min() > -1e-10
     u = real_basis_unitary(3)
     assert abs(np.trace(u @ z.gram @ u.conj().T) - 1) < 1e-10
@@ -689,7 +689,7 @@ def test_sampled_outputs_are_density_matrices():
         for seed in range(3):
             z = product_output(spec, trial_rng(100, seed))
             assert np.abs(z.gram - z.gram.conj().T).max() < 1e-12
-            assert abs(z.trace() - 1) < 1e-10
+            assert abs(z.trace_powers(1)[0] - 1) < 1e-10
             assert float(z.eigenvalues().min()) > -1e-10
 
 

@@ -165,6 +165,12 @@ def test_irrep_weights_below_q_give_the_pseudo_inverse(q):
         assert conv(conv(wg, g), wg) == wg
 
 
+@pytest.mark.parametrize("args", [(9.0, 3), (9, 3.0), (True, 1), (9, True), (Fraction(9), 3)], ids=repr)
+def test_wg_refuses_non_integers(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        wg_exact(*args)
+
+
 def test_wg_order_cap():
     with pytest.raises(ValueError):
         wg_exact(10, 8)
