@@ -123,6 +123,16 @@ def _check_seed(seed: int) -> None:
         raise CliError(f"--seed must be >= 0, got {seed}")
 
 
+def _regime_options(args) -> tuple[Fraction, Fraction, Fraction | None]:
+    """`simulate`'s and `entropy`'s --seed, --c, --d and --t, checked before
+    numpy loads or any output; the regime k ~ c n^d needs d >= 0."""
+    _check_seed(args.seed)
+    c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
+    if d < 0:
+        raise CliError(f"--d={d} must be >= 0")
+    return c, d, t
+
+
 def _spec_for_regime(n: int, c: Fraction, d: Fraction, t: Fraction | None, flavor: str) -> ChannelSpec:
     from .montecarlo import ChannelSpec
 
@@ -261,8 +271,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_seed(args.seed)
-    c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
+    c, d, t = _regime_options(args)
     from . import montecarlo
 
     spec = _spec_for_regime(args.n, c, d, t, args.flavor)
@@ -397,8 +406,7 @@ def _z(mean: float, stderr: float, reference: float) -> float:
 
 
 def cmd_entropy(args) -> int:
-    _check_seed(args.seed)
-    c, d, t = _rational("--c", args.c), _rational("--d", args.d), _rational("--t", args.t)
+    c, d, t = _regime_options(args)
     from . import freeprob, montecarlo
     from .moments import RegimeParams
 

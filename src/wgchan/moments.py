@@ -16,19 +16,19 @@ H acts on the irrep rho of S_{2p} as content_rho(m) / content_rho(nk), or 0
 where content_rho(nk) vanishes (then so does content_rho(m), since m <= nk);
 no Weingarten table is built, and every n, k >= 1 has an exact value.  The
 alpha' sum is grouped by (class, #(alpha' delta), #(alpha' delta
-gamma^{-1})), an integer census (``perm.class_census``), and the census is
-folded through the character table into one integer polynomial per irrep,
+gamma^{-1})), an integer array (``perm.class_census``), and one product
+with the character table folds it into one integer polynomial per irrep,
 
-    P_rho(k, n) = sum_mu chi_rho(mu) sum_{(a, b, count) in census[mu]} count k^a n^b,
+    P_rho(k, n) = sum_mu chi_rho(mu) sum_{a, b} census[mu, a, b] k^a n^b,
 
 so that E tr Z^p = m^{-p} sum_rho c_rho(nk) content_rho(m) P_rho(k, n) / D(nk),
 with c_rho / D = dim rho / ((2p)! content_rho(nk)) from
 ``weingarten.wg_irrep_weights``: an explicit rational function of (n, k, m).
-The census and the polynomials are built once per order and wiring (gamma,
-or the f_hat of every choice function, merged, for the pinched sum); a call
-evaluates the polynomials and takes one sum over the irreps.  The census and
-the minimizations count over the cached ``perm.group_table(2p)``, which
-stops at S_8, so p <= 4.
+The polynomials are built once per order and wiring (gamma, or the f_hat
+of all 2^p choice functions added with their signs and powers of n, for
+the pinched sum); a call evaluates them and takes one sum over the irreps.
+The census and the minimizations count over the cached
+``perm.group_table(2p)``, which stops at S_8, so p <= 4.
 
 Every minimization objective is d A + B + const, with small integers A and B
 fixed at each point of the domain.  So each problem and order has one cached,
@@ -156,56 +156,30 @@ def choice_to_permutation(f: ChoiceFunction) -> Permutation:
 # exact moments: the single sum over S_{2p}
 
 
-@lru_cache(maxsize=64)
-def _class_census(p: int, target_images: tuple[int, ...]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Census over alpha in S_{2p} of (class of alpha, #(alpha delta),
-    #(alpha delta target^{-1})): for each class in ``partitions(2p)`` order,
-    the nonzero cells as (a, b, count) triples."""
-    _, delta, _ = make_gamma_delta(p)
-    right = (delta * Permutation(target_images).inverse()).images
-    counts = class_census(2 * p, [delta.images, right])
-    return tuple(
-        tuple((int(a), int(b), int(block[a, b])) for a, b in zip(*np.nonzero(block))) for block in counts
-    )
-
-
-@lru_cache(maxsize=4)
-def _pinched_census(p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The census of the pinched sum, merged over all 2^p choice functions
-    f: per class, cells (a, b, count) as in `_class_census` against f_hat,
-    with each term's sign (-1)^e and Bell normalization n^{p-e} (e its Bell
-    picks) folded into the count and the exponent b.  Cells that cancel are
-    dropped."""
-    merged = [Counter() for _ in partitions(2 * p)]
-    for f in choice_functions(p):
-        e = f.bell_count
-        for acc, cells in zip(merged, _class_census(p, choice_to_permutation(f).images)):
-            for a, b, cnt in cells:
-                acc[a, b + p - e] += (-1) ** e * cnt
-    return tuple(tuple((a, b, cnt) for (a, b), cnt in sorted(acc.items()) if cnt) for acc in merged)
-
-
 @lru_cache(maxsize=16)
 def _irrep_polynomials(p: int, pinched: bool) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """The census of gamma (or, pinched, the merged `_pinched_census`)
-    folded through the characters of S_{2p}, once per order and wiring: for
-    each irrep rho, in ``partitions(2p)`` order, the integer polynomial
+    """The census of alpha in S_{2p} by (class, #(alpha delta), #(alpha
+    delta target^{-1})) for target gamma, or, pinched, the f_hat of every
+    choice function f added with sign (-1)^e and n^{p-e} (e its Bell picks),
+    folded through the characters of S_{2p}: for each irrep rho, in
+    ``partitions(2p)`` order, the integer polynomial
 
-        P_rho(k, n) = sum_mu chi_rho(mu) sum_{(a, b, count) in census[mu]} count k^a n^b.
+        P_rho(k, n) = sum_mu chi_rho(mu) sum_{a, b} census[mu, a, b] k^a n^b.
 
     Returned as the monomials (a, b) that occur and one row of coefficients
     per irrep, aligned with them."""
-    census = _pinched_census(p) if pinched else _class_census(p, make_gamma_delta(p)[0].images)
-    monomials = sorted({(a, b) for cells in census for a, b, _ in cells})
-    column = {ab: j for j, ab in enumerate(monomials)}
-    rows = []
-    for chi in character_table(2 * p):
-        row = [0] * len(monomials)
-        for x, cells in zip(chi, census):
-            for a, b, cnt in cells:
-                row[column[a, b]] += x * cnt
-        rows.append(tuple(row))
-    return tuple(monomials), tuple(rows)
+    gamma, delta, _ = make_gamma_delta(p)
+    if pinched:
+        wirings = [((-1) ** f.bell_count, p - f.bell_count, choice_to_permutation(f)) for f in choice_functions(p)]
+    else:
+        wirings = [(1, 0, gamma)]
+    census = np.zeros((len(partitions(2 * p)), 2 * p + 1, 3 * p + 1), dtype=np.int64)
+    for sign, shift, target in wirings:
+        counts = class_census(2 * p, [delta.images, (delta * target.inverse()).images])
+        census[:, :, shift : shift + 2 * p + 1] += sign * counts
+    poly = np.array(character_table(2 * p), dtype=np.int64) @ census.reshape(len(census), -1)
+    columns = np.flatnonzero(poly.any(axis=0))
+    return tuple(divmod(int(j), 3 * p + 1) for j in columns), tuple(map(tuple, poly[:, columns].tolist()))
 
 
 def _single_sum(p: int, pinched: bool, n: int, k: int, m: int) -> tuple[int, int]:
@@ -214,10 +188,10 @@ def _single_sum(p: int, pinched: bool, n: int, k: int, m: int) -> tuple[int, int
 
         sum_rho c_rho(nk) content_rho(m) P_rho(k, n) / D(nk),
 
-    with P_rho from `_irrep_polynomials` and c_rho / D the Weingarten weights
-    of `wg_irrep_weights`, by which H = G_{2p}(m) Wg(nk) acts on rho.  An
-    irrep with more than nk rows has both contents 0 and gets weight 0 (the
-    pseudo-inverse Wg), so it adds nothing."""
+    with P_rho from the order's cached `_irrep_polynomials` and the weights
+    c_rho / D, by which H = G_{2p}(m) Wg(nk) acts on rho, from
+    `wg_irrep_weights` per call.  An irrep with more than nk rows has both
+    contents 0 and gets weight 0 (the pseudo-inverse Wg), so it adds nothing."""
     monomials, rows = _irrep_polynomials(p, pinched)
     coef, denom = wg_irrep_weights(n * k, 2 * p)
     values = [k**a * n**b for a, b in monomials]
@@ -272,10 +246,10 @@ def exact_moment_pinched(p: int, n: int, k: int, wg: WgTable | None = None) -> F
     """Exact E[tr((QZQ)^p)] at m = n, summed over all 2^p choice functions:
     each term carries sign (-1)^{#Bell picks}, Bell normalization n^{-#Bell},
     and the permutation sum with gamma replaced by f_hat.  All 2^p censuses
-    are merged once per order (`_pinched_census`) and folded through the
-    characters into one set of irrep polynomials, so a call evaluates those
-    and takes the one single sum.  ``wg`` is checked and not read, as in
-    `exact_moment_conjugate`."""
+    are added into one array once per order and folded through the
+    characters into one set of irrep polynomials (`_irrep_polynomials`), so
+    a call evaluates those and takes the one single sum.  ``wg`` is checked
+    and not read, as in `exact_moment_conjugate`."""
     validate_exact_args(p, n, k, n)
     _check_wg(n, k, p, wg)
     total, denom = _single_sum(p, True, n, k, n)
@@ -345,7 +319,7 @@ def _pair_lengths(p: int, alphas: np.ndarray | None = None) -> np.ndarray:
     about 10 MB, much of which the allocator keeps resident."""
     g = group_table(2 * p)
     alphas = np.arange(len(g.perms)) if alphas is None else alphas
-    lengths, inverses = _lengths(p), g.perms[g.inverse]
+    lengths, inverses = _lengths(p), np.argsort(g.perms, axis=1)
     out = np.empty((len(alphas), len(g.perms)), dtype=np.int16)
     for lo in range(0, len(alphas), 64):
         out[lo : lo + 64] = lengths[index_of(g.perms[alphas[lo : lo + 64]][:, inverses])]
@@ -553,30 +527,16 @@ def minimize_S_pinched(p: int, d) -> ExponentReport:
 # reference tables (the closed-form answers the searches must reproduce)
 
 
-@lru_cache(maxsize=16)
-def _geodesic_set(p: int, which: str) -> frozenset[Permutation]:
-    """The geodesic interval between two block permutations of S_{2p},
-    named by `which`, from `perm.geodesics`: one non-crossing partition per
-    cycle of a^{-1} c, with no walk over S_{2p}."""
-    gamma, delta, gtilde = make_gamma_delta(p)
-    ends = {
-        "delta->gtilde": (delta, gtilde),
-        "delta->gamma": (delta, gamma),
-        "id->delta": (identity(2 * p), delta),
-    }[which]
-    return geodesics(*ends)
-
-
 def reference_S2(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
     """Closed-form solution table for the S2 problem."""
     d = _exponent(d)
-    _, delta, _ = make_gamma_delta(p)
+    _, delta, gtilde = make_gamma_delta(p)
     if d == 0:
-        return Fraction(-1), _geodesic_set(p, "delta->gtilde")
+        return Fraction(-1), geodesics(delta, gtilde)
     if d < 2:
         return d * p - 1, frozenset({delta})
     if d == 2:
-        return Fraction(2 * p - 1), _geodesic_set(p, "id->delta")
+        return Fraction(2 * p - 1), geodesics(identity(2 * p), delta)
     return Fraction(2 * p - 1), frozenset({identity(2 * p)})
 
 
@@ -587,7 +547,7 @@ def reference_S1(p: int, d) -> tuple[Fraction, frozenset[Permutation]]:
     gamma, delta, _ = make_gamma_delta(p)
     ident = identity(2 * p)
     if d == 0:
-        return Fraction(0), _geodesic_set(p, "delta->gamma")
+        return Fraction(0), geodesics(delta, gamma)
     if p == 2 and 0 < d < 1:
         return 2 * d, frozenset({delta, gamma})
     if p == 2 and d == 1:

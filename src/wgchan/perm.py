@@ -211,6 +211,7 @@ def is_geodesic(a: Permutation, b: Permutation, c: Permutation) -> bool:
     return distance(a, b) + distance(b, c) == distance(a, c)
 
 
+@lru_cache(maxsize=16)
 def geodesics(a: Permutation, c: Permutation) -> frozenset[Permutation]:
     """Every ``b`` on a geodesic from ``a`` to ``c``: the set
     ``{a x : x <= a^{-1} c}`` of `is_geodesic`, built directly.
@@ -427,10 +428,9 @@ def _contents(shape: tuple[int, ...]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class GroupTable:
     """Every element of S_m as arrays, rows in lexicographic order of one-line
-    notation (the order of `all_permutations`)."""
+    notation (the order of `all_permutations`); a row's argsort is its inverse."""
 
     perms: np.ndarray  # (m!, m) uint8: row i is the one-line notation of element i
-    inverse: np.ndarray  # (m!,) int32: index of the inverse
     ncycles: np.ndarray  # (m!,) int64: number of cycles
     cls: np.ndarray  # (m!,) int64: conjugacy class as an index into partitions(m)
 
@@ -446,9 +446,6 @@ def group_table(q: int) -> GroupTable:
     n_elems = math.factorial(q)
     images = itertools.chain.from_iterable(itertools.permutations(range(q)))
     perms = np.fromiter(images, dtype=np.uint8, count=n_elems * q).reshape(n_elems, q)
-    # argsort of a row of one-line images is the row of its inverse
-    inverse = index_of(np.argsort(perms, axis=1))
-
     # the cycle type as a number: the count of r-cycles is digit r - 1 in base q + 1
     ncycles = np.zeros(n_elems, dtype=np.int64)
     key = np.zeros(n_elems, dtype=np.int64)
@@ -464,7 +461,7 @@ def group_table(q: int) -> GroupTable:
     class_keys = np.array([sum((q + 1) ** (r - 1) for r in parts) for parts in partitions(q)], dtype=np.int64)
     order = np.argsort(class_keys)
     cls = order[np.searchsorted(class_keys, key, sorter=order)]
-    return GroupTable(perms, inverse, ncycles, cls)
+    return GroupTable(perms, ncycles, cls)
 
 
 def index_of(rows: np.ndarray) -> np.ndarray:

@@ -141,6 +141,8 @@ def test_rejected_run_leaves_no_file(tmp_path, capsys, argv):
         ["compare", "--n", "3", "--k", "0", "--trials", "2", "--seed", "1"],
         ["compare", "--n", "3", "--k", "3", "--m", "2", "--trials", "2", "--seed", "1"],
         ["minimize", "--p", "2", "--d=-1"],
+        # a negative ancilla growth exponent, which would otherwise give k = round(c n^d)
+        ["simulate", "--n", "8", "--c", "16", "--d=-1", "--trials", "1", "--seed", "1"],
     ],
 )
 def test_invalid_numbers_rejected_before_output(tmp_path, capsys, argv):

@@ -106,6 +106,7 @@ for argv, code in (
     (["compare", "--n", "3", "--k", "3", "--trials", "1", "--seed", "1", "--strict"], 2),
     (["simulate", "--n", "8", "--trials", "2", "--seed", "-1"], 2),
     (["simulate", "--n", "8", "--trials", "2", "--seed", "1", "--t", "1/0"], 2),
+    (["simulate", "--n", "8", "--c", "16", "--d=-1", "--trials", "1", "--seed", "1"], 2),
 ):
     sys.argv = ["wgchan", *argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -13,11 +13,9 @@ from wgchan.moments import (
     ChoiceFunction,
     ExponentReport,
     RegimeParams,
-    _class_census,
     _contenders,
     _irrep_polynomials,
     _pair_census,
-    _pinched_census,
     _pinched_pair_census,
     _single_census,
     asymptotic_moment_conjugate,
@@ -118,15 +116,42 @@ def test_single_sum_matches_wick_oracle(p, n, k):
     assert exact_moment_conjugate(p, n, k, 1) == exact_moment_conjugate(p, k, n, 1)
 
 
+def wiring_census(p, target):
+    """`perm.class_census` of alpha in S_2p by (class, #(alpha delta),
+    #(alpha delta target^{-1}))."""
+    _, delta, _ = make_gamma_delta(p)
+    return perm.class_census(2 * p, [delta.images, perm.compose(delta, target.inverse()).images])
+
+
+def merged_census(p, pinched):
+    """The census of gamma, or, pinched, of every f_hat merged cell by cell
+    with sign (-1)^e and n's exponent raised by p - e (e the Bell picks of
+    f): per class, a dict {(a, b): count}."""
+    gamma, _, _ = make_gamma_delta(p)
+    if pinched:
+        terms = [((-1) ** f.bell_count, p - f.bell_count, choice_to_permutation(f)) for f in choice_functions(p)]
+    else:
+        terms = [(1, 0, gamma)]
+    merged = [{} for _ in partitions(2 * p)]
+    for sign, shift, target in terms:
+        counts = wiring_census(p, target)
+        for mu, a, b in zip(*counts.nonzero()):
+            cell = (int(a), int(b) + shift)
+            merged[mu][cell] = merged[mu].get(cell, 0) + sign * int(counts[mu, a, b])
+    return merged
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_class_census_totals(p):
     # every wiring counts each alpha in S_2p once, so the per-class totals
-    # agree across gamma and every f_hat and sum to (2p)!
+    # agree across gamma and every f_hat and sum to (2p)!; the pinched
+    # signs cancel them class by class
     gamma, _, _ = make_gamma_delta(p)
     wirings = [gamma] + [choice_to_permutation(f) for f in choice_functions(p)]
-    totals = {tuple(sum(cnt for _, _, cnt in cells) for cells in _class_census(p, w.images)) for w in wirings}
+    totals = {tuple(wiring_census(p, w).sum(axis=(1, 2)).tolist()) for w in wirings}
     assert len(totals) == 1
     assert sum(totals.pop()) == math.factorial(2 * p)
+    assert all(sum(cells.values()) == 0 for cells in merged_census(p, pinched=True))
 
 
 def class_basis_moment(p, n, k, m, pinched):
@@ -134,9 +159,8 @@ def class_basis_moment(p, n, k, m, pinched):
     replaced: one weight per class, sum over alpha' in the class of
     k^{#(alpha' delta)} n^{#(alpha' delta target^{-1})}, pushed through the
     character table, with each irrep's content product taken box by box."""
-    gamma, _, _ = make_gamma_delta(p)
-    census = _pinched_census(p) if pinched else _class_census(p, gamma.images)
-    weights = [sum(cnt * k**a * n**b for a, b, cnt in cells) for cells in census]
+    census = merged_census(p, pinched)
+    weights = [sum(cnt * k**a * n**b for (a, b), cnt in cells.items()) for cells in census]
     coef, denom = wg_irrep_weights(n * k, 2 * p)
     total = 0
     for c, rho, row in zip(coef, partitions(2 * p), character_table(2 * p)):
